@@ -1,7 +1,8 @@
 """Command-line interface: JSON certificates on stdout.
 
 Exit codes: 0 success, 2 input parse error, 3 precondition violation,
-4 budget exceeded. Output is deterministic: identical inputs, flags, and
+4 budget exceeded. An InvariantError (an internal bug, not bad input) is
+not caught. Output is deterministic: identical inputs, flags, and
 seeds produce byte-identical JSON.
 """
 
@@ -22,7 +23,7 @@ from .cover import (
     cover_via_fes,
     cover_via_fvs,
 )
-from .cyclebreak import feedback_vertex_set, fes_size_bound, is_acyclic, minimal_fes
+from .cyclebreak import feedback_vertex_set, fes_size_bound, is_acyclic, is_minimal_fes, minimal_fes
 from .errors import (
     BudgetExceededError,
     CyclicInputError,
@@ -174,10 +175,7 @@ def _cmd_fes(args) -> int:
     h, _labels = parse_hypergraph(_read(args.hypergraph_file))
     result = minimal_fes(h)
     residual = delete_hyperedges(h, result.removed_hyperedges)
-    minimal = all(
-        not is_acyclic(delete_hyperedges(h, result.removed_hyperedges - {f}))
-        for f in result.removed_hyperedges
-    )
+    minimal = is_minimal_fes(h, result.removed_hyperedges)
     payload = {
         "schema": SCHEMA,
         "command": "fes",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .acyclic import DualPair, solve_acyclic
-from .cyclebreak import feedback_vertex_set, fes_size_bound, minimal_fes
+from .cyclebreak import feedback_vertex_set, minimal_fes
 from .errors import IsolatedVertexError, NotLinearError, NotThreeUniformError
 from .graph import Graph, bipartite_cut_cover, greedy_triangle_packing, irreducible_subgraph
 from .hypergraph import (
@@ -304,7 +304,3 @@ def condition_report(g: Graph, use_oracle: bool = False, budget: OracleBudget | 
         ratios=ratios,
     )
 
-
-def fes_bound_for(g: Graph) -> int:
-    """The certified feedback-edge-set bound for g's triangle hypergraph."""
-    return fes_size_bound(triangle_hypergraph(g))

@@ -15,20 +15,20 @@ Two engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Iterator
 
-from .errors import NotLinearError, NotThreeUniformError
+from .errors import InvariantError, NotLinearError, NotThreeUniformError
 from .hypergraph import (
     Cycle,
     Hypergraph,
     _cycle_through_edge,
+    _Forest,
     _incidence_adj,
+    _on_cycle,
     components,
-    delete_hyperedges,
-    delete_vertices,
     is_acyclic,
     is_k_uniform,
     is_linear,
-    on_cycle_elements,
     shortest_cycle,
 )
 
@@ -37,6 +37,7 @@ __all__ = [
     "FesResult",
     "feedback_vertex_set",
     "minimal_fes",
+    "is_minimal_fes",
     "is_acyclic",
     "fes_size_bound",
 ]
@@ -81,6 +82,36 @@ def _rotate_edge_first(cycle: Cycle, eid: int) -> tuple[list[int], list[int]]:
     return list(best[0]), list(best[1])
 
 
+class _WorkingState:
+    """The hypergraph the FVS rules act on, mutated in place.
+
+    edges maps each surviving hyperedge id to its members; incident maps each
+    non-isolated vertex to the ids of its surviving hyperedges. A vertex
+    whose last hyperedge goes leaves incident, i.e. becomes isolated, which
+    is all that deleting a vertex means to the rules.
+    """
+
+    __slots__ = ("edges", "incident")
+
+    def __init__(self, h: Hypergraph):
+        self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
+        self.incident = {v: set(h.incident(v)) for v in h.non_isolated_vertices()}
+
+    def drop_edge(self, eid: int) -> None:
+        for v in self.edges.pop(eid):
+            eids = self.incident[v]
+            eids.discard(eid)
+            if not eids:
+                del self.incident[v]
+
+    def drop_vertex(self, v: int) -> None:
+        for eid in list(self.incident[v]):
+            self.drop_edge(eid)
+
+    def snapshot(self) -> Hypergraph:
+        return Hypergraph._from_parts(frozenset(self.incident), self.edges)
+
+
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """Feedback vertex set of a linear 3-uniform hypergraph, size <= floor(m/3).
 
@@ -106,78 +137,98 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
 
     Every rule removes at least three hyperedges per taken vertex, which gives
     the floor(m/3) bound.
+
+    The rules act on one working copy, deleting in place. Cycle membership
+    is computed once and reused across rule 2 steps: an off-cycle vertex
+    has only off-cycle hyperedges, so dropping it or an off-cycle hyperedge
+    destroys no cycle and creates none. Rules 3 to 5 delete on-cycle
+    hyperedges, so membership is recomputed on the step after them.
     """
     if not is_k_uniform(h, 3):
         raise NotThreeUniformError("feedback_vertex_set requires a 3-uniform hypergraph")
     if not is_linear(h):
         raise NotLinearError("feedback_vertex_set requires a linear hypergraph")
 
+    state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
-    cur = h
+    # Ascending off-cycle vertices and hyperedges from the last membership
+    # computation; None when it is stale. Entries that have since become
+    # isolated or been deleted are skipped, and no new ones can appear.
+    off_vertices: Iterator[int] | None = None
+    off_edges: Iterator[int] = iter(())
     while True:
-        if cur.num_hyperedges <= 2:
+        if len(state.edges) <= 2:
             trace.append(("base", ()))
             break
 
-        verts_on, edges_on = on_cycle_elements(cur)
+        if off_vertices is None:
+            verts_on, edges_on = _on_cycle(state.edges, state.incident)
+            off_vertices = iter(sorted(v for v in state.incident if v not in verts_on))
+            off_edges = iter(sorted(e for e in state.edges if e not in edges_on))
 
-        off_vertex = next((v for v in sorted(cur.non_isolated_vertices()) if v not in verts_on), None)
+        off_vertex = next((v for v in off_vertices if v in state.incident), None)
         if off_vertex is not None:
             trace.append(("drop_off_cycle_vertex", (off_vertex,)))
-            cur = delete_vertices(cur, (off_vertex,))
+            state.drop_vertex(off_vertex)
             continue
-        off_edge = next((e for e in cur.hyperedge_ids if e not in edges_on), None)
+        off_edge = next((e for e in off_edges if e in state.edges), None)
         if off_edge is not None:
             trace.append(("drop_off_cycle_hyperedge", (off_edge,)))
-            cur = delete_hyperedges(cur, (off_edge,))
+            state.drop_edge(off_edge)
             continue
 
-        high = next((v for v in sorted(cur.non_isolated_vertices()) if cur.degree(v) >= 3), None)
+        off_vertices = None
+        high = min((v for v, eids in state.incident.items() if len(eids) >= 3), default=None)
         if high is not None:
             removed.add(high)
             trace.append(("take_high_degree_vertex", (high,)))
-            cur = delete_vertices(cur, (high,))
+            state.drop_vertex(high)
             continue
 
-        pendant = next((v for v in sorted(cur.non_isolated_vertices()) if cur.degree(v) == 1), None)
+        cur = state.snapshot()
+        pendant = min((v for v, eids in state.incident.items() if len(eids) == 1), default=None)
         if pendant is not None:
             e1 = cur.incident(pendant)[0]
             cyc = _cycle_through_edge(cur, _incidence_adj(cur), e1)
-            assert cyc is not None  # rule 2 left every hyperedge on a cycle
+            if cyc is None:
+                raise InvariantError(f"hyperedge {e1} survived rule 2 but lies on no cycle")
             vs, es = _rotate_edge_first(cyc, e1)
             v3 = vs[2]
             removed.add(v3)
             trace.append(("take_vertex_past_pendant_edge", (pendant, e1, es[1], es[2], v3)))
-            cur = delete_hyperedges(cur, es[:3])
+            for eid in es[:3]:
+                state.drop_edge(eid)
             continue
 
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
         cyc = shortest_cycle(cur)
-        assert cyc is not None
+        if cyc is None:
+            raise InvariantError("a 2-regular hypergraph with hyperedges has no cycle")
         vs, es = list(cyc.vertices), list(cyc.hyperedge_ids)
         k = len(es)
 
         def third(i: int) -> int:
             spine = {vs[i], vs[(i + 1) % k]}
             rest = cur.hyperedge(es[i]) - spine
-            assert len(rest) == 1
+            if len(rest) != 1:
+                raise InvariantError(f"cycle hyperedge {es[i]} has no single third vertex")
             return next(iter(rest))
 
         us = [third(i) for i in range(k)]
 
         def other_edge(u: int, ei: int) -> int:
             rest = [f for f in cur.incident(u) if f != ei]
-            assert len(rest) == 1 and rest[0] not in es
+            if len(rest) != 1 or rest[0] in es:
+                raise InvariantError(f"vertex {u} of the 2-regular hypergraph has no single detour off the cycle")
             return rest[0]
 
         fs = [other_edge(us[i], es[i]) for i in range(k)]
 
         if k % 3 == 0:
             take = [vs[i - 1] for i in range(1, k + 1) if i % 3 == 0]
-            removed.update(take)
             trace.append(("break_cycle_len_0_mod_3", (k, *take)))
-            cur = delete_hyperedges(cur, es)
+            drop = set(es)
         elif k % 3 == 1:
             if fs[0] != fs[2] or fs[1] != fs[3]:
                 if fs[0] == fs[2]:
@@ -188,22 +239,23 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
                     us = us[1:] + us[:1]
                     fs = fs[1:] + fs[:1]
                 take = [us[0], us[2]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 0]
-                removed.update(take)
                 trace.append(("break_cycle_len_1_mod_3", (k, *take)))
-                cur = delete_hyperedges(cur, set(es) | {fs[0], fs[2]})
+                drop = set(es) | {fs[0], fs[2]}
             else:
                 # f1 = f3 and f2 = f4 force a 4-cycle through u1, u3, so the
                 # shortest cycle itself has length exactly 4.
-                assert k == 4
+                if k != 4:
+                    raise InvariantError(f"paired detours on a shortest cycle of length {k}, not 4")
                 take = [us[1], us[3]]
-                removed.update(take)
                 trace.append(("break_cycle_len_4_paired_detours", (k, *take)))
-                cur = delete_hyperedges(cur, set(es) | {fs[0], fs[1]})
+                drop = set(es) | {fs[0], fs[1]}
         else:
             take = [us[0]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 1]
-            removed.update(take)
             trace.append(("break_cycle_len_2_mod_3", (k, *take)))
-            cur = delete_hyperedges(cur, set(es) | {fs[0]})
+            drop = set(es) | {fs[0]}
+        removed.update(take)
+        for eid in drop:
+            state.drop_edge(eid)
 
     return FvsResult(frozenset(removed), tuple(trace))
 
@@ -214,43 +266,27 @@ def minimal_fes(h: Hypergraph) -> FesResult:
     Starting from the trivial feedback edge set (all hyperedges), each
     hyperedge is dropped from it when the rest still meets every cycle,
     equivalently when re-adding the hyperedge to the kept acyclic part closes
-    no cycle. An incremental union-find over the incidence forest implements
-    that test; a hyperedge closes a cycle exactly when two of its vertices are
-    already connected.
+    no cycle. An incremental union-find over the kept part implements that
+    test.
     """
-    parent: dict[int, int] = {}
+    forest = _Forest()
+    return FesResult(frozenset(eid for eid, e in zip(h.hyperedge_ids, h.hyperedges) if not forest.link(e)))
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
-    removed: list[int] = []
-    for eid in h.hyperedge_ids:
-        e = h.hyperedge(eid)
-        roots = set()
-        closes = False
-        for v in e:
-            if v not in parent:
-                parent[v] = v
-            r = find(v)
-            if r in roots:
-                closes = True
-                break
-            roots.add(r)
-        if closes:
-            removed.append(eid)
-        else:
-            rroot = None
-            for r in roots:
-                if rroot is None:
-                    rroot = r
-                else:
-                    parent[r] = rroot
-    return FesResult(frozenset(removed))
+def is_minimal_fes(h: Hypergraph, removed: Collection[int]) -> bool:
+    """True when re-adding any single hyperedge of `removed` to the rest of h
+    leaves a cycle.
+
+    One union-find pass over the residual (h without `removed`). When the
+    residual is acyclic, a hyperedge re-added to it closes a cycle exactly
+    when two of its vertices are already joined; when the residual is itself
+    cyclic, every re-addition leaves that cycle, so the answer is True.
+    """
+    forest = _Forest()
+    for eid, e in zip(h.hyperedge_ids, h.hyperedges):
+        if eid not in removed and not forest.link(e):
+            return True
+    return all(forest.closes_cycle(h.hyperedge(f)) for f in removed)
 
 
 def fes_size_bound(h: Hypergraph) -> int:

@@ -37,3 +37,12 @@ class IsolatedVertexError(TricoverError):
 
 class BudgetExceededError(TricoverError):
     """An exact search ran past its instance-size, node, or time budget."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in tricover, not bad input.
+
+    Deliberately not a TricoverError, so the CLI never reports it as a
+    precondition violation. Raised explicitly rather than through `assert`,
+    which `python -O` strips.
+    """

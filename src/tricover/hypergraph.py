@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Collection, Iterable, Mapping
 
-from .errors import NotLinearError
+from .errors import InvariantError, NotLinearError
 from .graph import Graph, enumerate_triangles
 
 
@@ -178,12 +179,17 @@ def validate_cycle(h: Hypergraph, cycle: Cycle) -> None:
 
 
 def is_linear(h: Hypergraph) -> bool:
-    """True when every pair of distinct hyperedges shares at most one vertex."""
-    edges = h.hyperedges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if len(edges[i] & edges[j]) > 1:
+    """True when every pair of distinct hyperedges shares at most one vertex.
+
+    Equivalently, no vertex pair lies in two hyperedges: one pass over each
+    hyperedge's pairs, O(sum |e|^2), stopping at the first repeated pair.
+    """
+    seen: set[tuple[int, int]] = set()
+    for e in h.hyperedges:
+        for pair in combinations(sorted(e), 2):
+            if pair in seen:
                 return False
+            seen.add(pair)
     return True
 
 
@@ -198,10 +204,7 @@ def triangle_hypergraph(g: Graph) -> Hypergraph:
     Always 3-uniform and linear: two triangles of a simple graph share at most
     one edge. Edges of g lying in no triangle become isolated vertices.
     """
-    hg = Hypergraph(range(g.num_edges), (t.edge_ids for t in enumerate_triangles(g)))
-    assert is_k_uniform(hg, 3)
-    assert is_linear(hg)
-    return hg
+    return Hypergraph(range(g.num_edges), (t.edge_ids for t in enumerate_triangles(g)))
 
 
 @dataclass(frozen=True)
@@ -277,10 +280,6 @@ def _enode(e: int) -> int:
     return (e << 1) | 1
 
 
-def _is_enode(x: int) -> bool:
-    return bool(x & 1)
-
-
 def _node_id(x: int) -> int:
     return x >> 1
 
@@ -294,82 +293,115 @@ def _incidence_adj(h: Hypergraph) -> dict[int, tuple[int, ...]]:
     return {x: tuple(ns) for x, ns in adj.items()}
 
 
-def is_acyclic(h: Hypergraph) -> bool:
-    """True when h has no cycle, i.e. its incidence graph is a forest."""
-    parent: dict[int, int] = {}
+class _Forest:
+    """Union-find over vertices, grown one hyperedge at a time.
 
-    def find(x: int) -> int:
-        root = x
+    Linking a hyperedge joins its vertices. While the linked hyperedges form
+    an acyclic hypergraph, a further hyperedge closes a cycle exactly when two
+    of its vertices are already joined.
+    """
+
+    __slots__ = ("_parent",)
+
+    def __init__(self) -> None:
+        self._parent: dict[int, int] = {}
+
+    def _find(self, x: int) -> int:
+        parent = self._parent
+        root = parent.setdefault(x, x)
         while parent[root] != root:
             root = parent[root]
         while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
 
-    for eid, e in zip(h.hyperedge_ids, h.hyperedges):
-        en = _enode(eid)
-        parent[en] = en
-        for v in e:
-            vn = _vnode(v)
-            if vn not in parent:
-                parent[vn] = vn
-            ra, rb = find(en), find(vn)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-    return True
+    def closes_cycle(self, e: Collection[int]) -> bool:
+        return len({self._find(v) for v in e}) < len(e)
+
+    def link(self, e: Collection[int]) -> bool:
+        """Join e's vertices and return True; return False, joining nothing,
+        when e closes a cycle."""
+        roots = {self._find(v) for v in e}
+        if len(roots) < len(e):
+            return False
+        if roots:
+            target = roots.pop()
+            for r in roots:
+                self._parent[r] = target
+        return True
 
 
-def _bridge_edges(adj: Mapping[int, tuple[int, ...]]) -> set[frozenset[int]]:
-    """Bridges of a simple undirected graph, iterative lowpoint computation."""
+def is_acyclic(h: Hypergraph) -> bool:
+    """True when h has no cycle, i.e. its incidence graph is a forest."""
+    forest = _Forest()
+    return all(forest.link(e) for e in h.hyperedges)
+
+
+def _on_cycle(
+    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]
+) -> tuple[set[int], set[int]]:
+    """(vertices, hyperedge ids) on at least one cycle, from hyperedge id ->
+    members and non-isolated vertex -> incident hyperedge ids.
+
+    Tarjan's lowpoint bridge search over the incidence graph, iterative. A
+    hyperedge lies on a cycle exactly when one of its incidence edges is not
+    a bridge; a vertex lies on a cycle exactly when one of its hyperedges
+    does (cycles are sub-hypergraphs spanning all vertices of their
+    hyperedges). Each bridge is found once, when the DFS leaves its child
+    end, and is counted at its hyperedge end; a hyperedge is on a cycle when
+    it has fewer bridges than members.
+    """
+
     disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: set[frozenset[int]] = set()
+    bridges_at: dict[int, int] = {}
     timer = 0
-    for root in sorted(adj):
-        if root in disc:
+    for root in incident:
+        # Encodings inlined from _vnode / _enode: this loop is the hot path
+        # of feedback_vertex_set. A node's lowpoint is only needed while it
+        # is on the stack, so it lives in the node's stack frame:
+        # [node, parent, unexplored neighbors, lowpoint, discovery time].
+        rn = root << 1
+        if rn in disc:
             continue
-        disc[root] = low[root] = timer
+        disc[rn] = timer
+        stack = [[rn, None, iter([(e << 1) | 1 for e in incident[root]]), timer, timer]]
         timer += 1
-        stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
         while stack:
-            node, par, idx = stack[-1]
-            if idx < len(adj[node]):
-                stack[-1] = (node, par, idx + 1)
-                nxt = adj[node][idx]
+            frame = stack[-1]
+            node, par, rest = frame[0], frame[1], frame[2]
+            for nxt in rest:
                 if nxt == par:
                     continue
-                if nxt in disc:
-                    low[node] = min(low[node], disc[nxt])
-                else:
-                    disc[nxt] = low[nxt] = timer
+                d = disc.get(nxt)
+                if d is None:
+                    disc[nxt] = timer
+                    if nxt & 1:
+                        ns = [v << 1 for v in edges[nxt >> 1]]
+                    else:
+                        ns = [(e << 1) | 1 for e in incident[nxt >> 1]]
+                    stack.append([nxt, node, iter(ns), timer, timer])
                     timer += 1
-                    stack.append((nxt, node, 0))
+                    break
+                if d < frame[3]:
+                    frame[3] = d
             else:
                 stack.pop()
-                if par is not None:
-                    low[par] = min(low[par], low[node])
-                    if low[node] > disc[par]:
-                        bridges.add(frozenset((par, node)))
-    return bridges
+                if stack:
+                    up = stack[-1]
+                    lo = frame[3]
+                    if lo < up[3]:
+                        up[3] = lo
+                    if lo > up[4]:
+                        en = node if node & 1 else par
+                        bridges_at[en] = bridges_at.get(en, 0) + 1
+    cyc_edges = {e for e, members in edges.items() if bridges_at.get((e << 1) | 1, 0) < len(members)}
+    cyc_verts = {v for e in cyc_edges for v in edges[e]}
+    return cyc_verts, cyc_edges
 
 
 def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
-    """(vertices, hyperedge ids) lying on at least one cycle of h.
-
-    A hyperedge lies on a cycle exactly when its incidence node has a
-    non-bridge incidence edge; a vertex lies on a cycle exactly when one of
-    its hyperedges does (cycles are sub-hypergraphs spanning all vertices of
-    their hyperedges).
-    """
-    adj = _incidence_adj(h)
-    bridges = _bridge_edges(adj)
-    cyc_edges: set[int] = set()
-    for eid in h.hyperedge_ids:
-        en = _enode(eid)
-        if any(frozenset((en, vn)) not in bridges for vn in adj[en]):
-            cyc_edges.add(eid)
-    cyc_verts = {v for e in cyc_edges for v in h.hyperedge(e)}
+    """(vertices, hyperedge ids) lying on at least one cycle of h."""
+    cyc_verts, cyc_edges = _on_cycle(h._edges, h._incident)
     return frozenset(cyc_verts), frozenset(cyc_edges)
 
 
@@ -534,5 +566,6 @@ def shortest_cycle(h: Hypergraph) -> Cycle | None:
                     spine.pop()
 
         extend(start)
-    assert best is not None
+    if best is None:
+        raise InvariantError(f"no cycle of length {girth} found, though the girth search found one")
     return best

@@ -73,6 +73,35 @@ def hypergraph_from_cubic(n: int, cubic_edges: list[tuple[int, int]]) -> Hypergr
     return Hypergraph(range(g.num_edges), ([g.edge_id(v, w) for w in sorted(g.neighbors(v))] for v in range(n)))
 
 
+def random_cubic_edges(rng: random.Random, n: int) -> list[tuple[int, int]] | None:
+    """Edges of a random simple 3-regular graph on n vertices by the
+    configuration model, or None when 100 pairings all failed."""
+    for _ in range(100):
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = set()
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                break
+            edges.add((min(u, v), max(u, v)))
+        else:
+            return sorted(edges)
+    return None
+
+
+def random_cubic_duals(seed: int, count: int, sizes=(4, 6, 8, 10, 12, 14, 16, 18, 20)) -> list[Hypergraph]:
+    """Duals of seeded random cubic graphs: 2-regular linear 3-uniform
+    hypergraphs, whose cycle breaking runs mostly on the short-cycle rule."""
+    rng = random.Random(seed)
+    out: list[Hypergraph] = []
+    while len(out) < count:
+        edges = random_cubic_edges(rng, rng.choice(sizes))
+        if edges is not None:
+            out.append(hypergraph_from_cubic(len(edges) * 2 // 3, edges))
+    return out
+
+
 def petersen_edges() -> tuple[int, list[tuple[int, int]]]:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -149,6 +178,32 @@ def bridged_blocks() -> Hypergraph:
         blocks.extend(frozenset(v + off for v in e) for e in base.hyperedges)
     blocks.append(frozenset((0, 6, 12)))
     return Hypergraph(range(18), blocks)
+
+
+def random_bridged_blocks(rng: random.Random, num_blocks: int) -> Hypergraph:
+    """Random linear blocks joined into a tree by connector hyperedges.
+
+    Each connector takes one non-isolated vertex from each of three blocks,
+    one already joined and two new, so connectors lie on no cycle while
+    their vertices often do. Two connectors share at most one block, which
+    keeps the result linear.
+    """
+    blocks: list[list[frozenset[int]]] = []
+    offset = 0
+    for _ in range(num_blocks):
+        nv = rng.randint(7, 13)
+        block = random_linear_3_uniform(rng, nv, rng.randint(2, nv - 2))
+        blocks.append([frozenset(v + offset for v in e) for e in block.hyperedges])
+        offset += nv
+    edges = [e for block in blocks for e in block]
+    order = [i for i in range(num_blocks) if blocks[i]]
+    rng.shuffle(order)
+    joined = order[:1]
+    for i in range(1, len(order) - 1, 2):
+        trio = (rng.choice(joined), order[i], order[i + 1])
+        edges.append(frozenset(rng.choice(sorted(set().union(*blocks[b]))) for b in trio))
+        joined += order[i : i + 2]
+    return Hypergraph(range(offset), edges)
 
 
 def random_graph_hypergraphs(seed: int, count: int, max_hyperedges: int = 40) -> list[Hypergraph]:

@@ -16,12 +16,19 @@ from tricover import (
     fes_size_bound,
     is_acyclic,
     minimal_fes,
+    on_cycle_elements,
+    random_gnp,
     triangle_hypergraph,
 )
+from tricover.cyclebreak import is_minimal_fes
 
+import reference_fvs
 from generators import (
     bridged_blocks,
+    mixed_linear_corpus,
     random_acyclic_forest,
+    random_bridged_blocks,
+    random_cubic_duals,
     random_graph_hypergraphs,
     random_linear_3_uniform,
     two_regular_fixtures,
@@ -131,34 +138,55 @@ class TestFeedbackVertexSet:
     def test_random_cubic_duals(self):
         # Duals of random 3-regular graphs are 2-regular, so the short-cycle
         # rule carries most of the work.
-        from generators import hypergraph_from_cubic
-
-        rng = random.Random(2718)
-
-        def random_cubic(n):
-            for _ in range(100):
-                stubs = [v for v in range(n) for _ in range(3)]
-                rng.shuffle(stubs)
-                edges = set()
-                for i in range(0, len(stubs), 2):
-                    u, v = stubs[i], stubs[i + 1]
-                    if u == v or (min(u, v), max(u, v)) in edges:
-                        break
-                    edges.add((min(u, v), max(u, v)))
-                else:
-                    return sorted(edges)
-            return None
-
-        checked = 0
-        while checked < 120:
-            edges = random_cubic(rng.choice([4, 6, 8, 10, 12, 14, 16, 18, 20]))
-            if edges is None:
-                continue
-            h = hypergraph_from_cubic(len(edges) * 2 // 3, edges)
+        for h in random_cubic_duals(seed=2718, count=120):
             res = feedback_vertex_set(h)
             assert len(res.removed_vertices) <= h.num_hyperedges // 3
             assert is_acyclic(delete_vertices(h, res.removed_vertices))
-            checked += 1
+
+
+class TestAgainstReference:
+    """The in-place engine must reproduce the original rebuild-every-step
+    engine exactly: the removed set and every trace step."""
+
+    @staticmethod
+    def assert_same(hypergraphs):
+        for h in hypergraphs:
+            assert feedback_vertex_set(h) == reference_fvs.feedback_vertex_set(h)
+
+    def test_fvs_suite(self):
+        self.assert_same(fvs_suite())
+
+    def test_random_linear(self):
+        self.assert_same(mixed_linear_corpus(seed=77, count=150, max_hyperedges=60))
+
+    def test_bridged_blocks(self):
+        rng = random.Random(82)
+        self.assert_same(random_bridged_blocks(rng, rng.randint(3, 9)) for _ in range(60))
+
+    def test_triangle_hypergraphs_of_gnp(self):
+        rng = random.Random(78)
+        self.assert_same(
+            triangle_hypergraph(random_gnp(rng.randint(6, 14), rng.uniform(0.3, 0.95), rng.randrange(1 << 30)))
+            for _ in range(40)
+        )
+
+    def test_cubic_duals(self):
+        self.assert_same(random_cubic_duals(seed=79, count=60, sizes=(4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 30)))
+
+    def test_on_cycle_elements(self):
+        rng = random.Random(80)
+        suite = fvs_suite() + [random_linear_3_uniform(rng, rng.randint(4, 40), rng.randint(0, 30)) for _ in range(60)]
+        suite += [random_acyclic_forest(rng, rng.randint(1, 10), isolated=2) for _ in range(10)]
+        for h in suite:
+            reference = reference_fvs.on_cycle_elements(h)
+            assert on_cycle_elements(h) == reference
+            assert is_acyclic(h) == (not reference[1])
+
+    def test_on_cycle_elements_non_uniform(self):
+        # Pendant pairs and singletons hang off a cycle of mixed arity.
+        h = Hypergraph(range(8), [(0, 1), (1, 2, 3), (0, 3), (3, 4), (5,), (6, 7, 0), ()])
+        assert on_cycle_elements(h) == reference_fvs.on_cycle_elements(h)
+        assert on_cycle_elements(h) == (frozenset({0, 1, 2, 3}), frozenset({0, 1, 2}))
 
 
 class TestMinimalFes:
@@ -190,6 +218,26 @@ class TestMinimalFes:
             for eid in res.removed_hyperedges:
                 assert not is_acyclic(delete_hyperedges(h, res.removed_hyperedges - {eid}))
             assert len(res.removed_hyperedges) <= fes_size_bound(h)
+
+    def test_is_minimal_fes_matches_reinsertion(self):
+        def by_reinsertion(h, removed):
+            # Acyclicity through the reference bridge search, not the union-find under test.
+            return all(
+                reference_fvs.on_cycle_elements(delete_hyperedges(h, frozenset(removed) - {f}))[1] for f in removed
+            )
+
+        rng = random.Random(81)
+        checked = 0
+        for h in fvs_suite()[:60]:
+            ids = h.hyperedge_ids
+            fes = minimal_fes(h).removed_hyperedges
+            candidates = [fes, frozenset(), frozenset(ids), frozenset(rng.sample(ids, len(ids) // 2))]
+            if len(fes) > 1:
+                candidates.append(fes - {min(fes)})
+            for removed in candidates:
+                assert is_minimal_fes(h, removed) == by_reinsertion(h, removed)
+                checked += 1
+        assert checked >= 240
 
     def test_works_on_non_uniform_input(self):
         h = Hypergraph(range(5), [(0, 1), (1, 2), (0, 2), (0, 1, 2, 3)])

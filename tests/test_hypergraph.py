@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricover import (
     Cycle,
@@ -18,12 +19,20 @@ from tricover import (
     is_k_uniform,
     is_linear,
     on_cycle_elements,
+    random_gnp,
     shortest_cycle,
     triangle_hypergraph,
     validate_cycle,
 )
 
-from generators import book_graph, random_acyclic_forest, random_linear_3_uniform, two_regular_fixtures
+from generators import (
+    book_graph,
+    mixed_linear_corpus,
+    random_acyclic_forest,
+    random_linear_3_uniform,
+    two_regular_fixtures,
+)
+from reference_fvs import is_linear_pairwise
 
 
 def brute_min_cycle_length(h: Hypergraph) -> int | None:
@@ -91,6 +100,26 @@ class TestHypergraphBasics:
     def test_not_linear_on_duplicate_triples(self):
         h = Hypergraph(range(3), [(0, 1, 2), (0, 1, 2)])
         assert not is_linear(h)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(n=st.integers(3, 14), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    def test_triangle_hypergraph_is_linear_three_uniform(self, n, p, seed):
+        h = triangle_hypergraph(random_gnp(n, p, seed))
+        assert is_linear(h) and is_k_uniform(h, 3)
+        assert is_linear_pairwise(h)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(edges=st.lists(st.frozensets(st.integers(0, 7), max_size=4), max_size=8))
+    def test_is_linear_matches_pairwise_scan(self, edges):
+        h = Hypergraph(range(8), edges)
+        assert is_linear(h) == is_linear_pairwise(h)
+
+    def test_is_linear_matches_pairwise_scan_on_random_linear(self):
+        rng = random.Random(19)
+        for h in mixed_linear_corpus(seed=19, count=100):
+            assert is_linear(h) and is_linear_pairwise(h)
+            extra = Hypergraph(h.vertices, h.hyperedges + (frozenset(rng.sample(sorted(h.vertices), 3)),))
+            assert is_linear(extra) == is_linear_pairwise(extra)
 
     def test_fano_is_linear_three_uniform(self):
         f = fano_plane()

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from tricover import GraphFormatError, format_graph, format_hypergraph, parse_graph, parse_hypergraph
+import tricover.cli
+from tricover import (
+    GraphFormatError,
+    InvariantError,
+    TricoverError,
+    format_graph,
+    format_hypergraph,
+    parse_graph,
+    parse_hypergraph,
+)
 from tricover.cli import main
 
 K4_TEXT = "1 2\n2 3\n1 3\n1 4\n2 4\n3 4\n"
@@ -206,6 +215,25 @@ class TestHypergraphCommands:
         payload = json.loads(out)
         assert code == 0
         assert payload["fes"] == [] and payload["minimal"] is True
+
+    def test_fes_minimal_on_non_uniform_with_cycles(self, capsys, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("a b\nb c\na c\na b c d\nd e\n")
+        code, out, _ = run_cli(capsys, "fes", str(path))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["fes"] == [2, 3] and payload["minimal"] is True
+        assert payload["residual_acyclic"] is True and payload["bound"] is None
+
+    def test_internal_error_is_not_a_precondition_exit(self, fano_file, monkeypatch):
+        assert issubclass(InvariantError, RuntimeError) and not issubclass(InvariantError, TricoverError)
+
+        def broken(h):
+            raise InvariantError("broken invariant")
+
+        monkeypatch.setattr(tricover.cli, "feedback_vertex_set", broken)
+        with pytest.raises(InvariantError):
+            main(["fvs", fano_file])
 
     def test_fes_on_fano_bound(self, capsys, fano_file):
         code, out, _ = run_cli(capsys, "fes", fano_file)
