@@ -23,7 +23,7 @@ from .cover import (
     cover_via_fes,
     cover_via_fvs,
 )
-from .cyclebreak import feedback_vertex_set, fes_size_bound, is_acyclic, is_minimal_fes, minimal_fes
+from .cyclebreak import _feedback_vertex_set, fes_size_bound, is_acyclic, is_minimal_fes, minimal_fes
 from .errors import (
     BudgetExceededError,
     CyclicInputError,
@@ -34,7 +34,7 @@ from .errors import (
     NotThreeUniformError,
     TricoverError,
 )
-from .experiment import ExperimentSpec, run_experiment, write_csv
+from .experiment import RECORD_COLUMNS, ExperimentSpec, run_experiment, write_csv
 from .hypergraph import delete_hyperedges, delete_vertices, is_k_uniform, is_linear, triangle_hypergraph
 from .io import parse_graph, parse_hypergraph
 
@@ -153,7 +153,7 @@ def _cmd_fvs(args) -> int:
         raise NotThreeUniformError("not 3-uniform")
     if not is_linear(h):
         raise NotLinearError("not linear")
-    result = feedback_vertex_set(h)
+    result = _feedback_vertex_set(h)
     residual = delete_vertices(h, result.removed_vertices)
     bound = h.num_hyperedges // 3
     payload = {
@@ -230,21 +230,7 @@ def _cmd_random_experiment(args) -> int:
             "seed": spec.seed,
             "estimator": spec.estimator,
         },
-        "records": [
-            {
-                "trial": r.index,
-                "seed": r.seed,
-                "edges": r.num_edges,
-                "steiner_survivors": r.steiner_survivors,
-                "packing_lower": r.packing_lower,
-                "cover_size": r.cover_size,
-                "packing_over_edges": r.packing_over_edges,
-                "cover_over_packing": r.cover_over_packing,
-                "packing_ge_quarter_edges": r.packing_ge_quarter_edges,
-                "cover_le_twice_packing": r.cover_le_twice_packing,
-            }
-            for r in result.records
-        ],
+        "records": [{column: getattr(r, attr) for column, attr in RECORD_COLUMNS} for r in result.records],
         "aggregates": {
             "applicable_trials": result.applicable_trials,
             "packing_ge_quarter_count": result.packing_ok_count,

@@ -10,9 +10,14 @@ Three cover routes, each returning a certificate with an audit trail:
 * bipartite: keep the edges of a large bipartition cut and return the rest.
 
 Every certificate's cover is a genuine triangle cover; the claimed bound is
-the certified size guarantee that held at construction time. The same
-machinery generalizes from triangle hypergraphs to arbitrary linear 3-uniform
-hypergraphs without isolated vertices (hypergraph_cover).
+the certified size guarantee that held at construction time.
+
+The fvs and fes routes are one pipeline, `_via_fvs` and `_via_fes`, with
+two entry points. A triangle cover is a transversal of the triangle
+hypergraph, whose vertex ids are the graph's edge ids, so the graph entry
+points build that hypergraph once per call and keep the routes'
+transversals as they are. hypergraph_cover runs the same routes on any
+linear 3-uniform hypergraph without isolated vertices.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .acyclic import DualPair, solve_acyclic
-from .cyclebreak import feedback_vertex_set, minimal_fes
+from .cyclebreak import _feedback_vertex_set, minimal_fes
 from .errors import IsolatedVertexError, NotLinearError, NotThreeUniformError
-from .graph import Graph, bipartite_cut_cover, greedy_triangle_packing, irreducible_subgraph
+from .graph import Graph, bipartite_cut_cover
 from .hypergraph import (
     Hypergraph,
     delete_hyperedges,
@@ -85,6 +90,26 @@ def cover_is_valid(g: Graph, cover: frozenset[int]) -> bool:
     return True
 
 
+def _via_fvs(h: Hypergraph) -> CoverCertificate:
+    """fvs route on a linear 3-uniform hypergraph: a feedback vertex set,
+    then the exact solve of the acyclic remainder."""
+    res = _feedback_vertex_set(h)
+    breaker = res.removed_vertices
+    pair = solve_acyclic(delete_vertices(h, breaker) if breaker else h)
+    claimed = Fraction(h.num_hyperedges, 3) + len(pair.matching)
+    return CoverCertificate("fvs", breaker | pair.transversal, claimed, breaker, pair, trace=res.trace)
+
+
+def _via_fes(h: Hypergraph) -> CoverCertificate:
+    """fes route: a minimal feedback edge set, the least vertex of each
+    dropped hyperedge, then the exact solve of the acyclic remainder."""
+    dropped = minimal_fes(h).removed_hyperedges
+    picks = frozenset(min(h.hyperedge(f)) for f in dropped)
+    pair = solve_acyclic(delete_hyperedges(h, dropped) if dropped else h)
+    claimed = Fraction(len(pair.matching) + len(dropped))
+    return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)
+
+
 def cover_via_fvs(g: Graph) -> CoverCertificate:
     """Cover from a feedback vertex set of the triangle hypergraph.
 
@@ -93,14 +118,7 @@ def cover_via_fvs(g: Graph) -> CoverCertificate:
     the remainder's matching number. Whenever the packing number is at least
     |triangles|/3 that total is at most twice the packing number.
     """
-    hg = triangle_hypergraph(g)
-    res = feedback_vertex_set(hg)
-    breaker = res.removed_vertices
-    residual = delete_vertices(hg, breaker) if breaker else hg
-    pair = solve_acyclic(residual)
-    cover = breaker | pair.transversal
-    claimed = Fraction(hg.num_hyperedges, 3) + len(pair.matching)
-    return CoverCertificate("fvs", frozenset(cover), claimed, breaker, pair, trace=res.trace)
+    return _via_fvs(triangle_hypergraph(g))
 
 
 def cover_via_fes(g: Graph) -> CoverCertificate:
@@ -114,15 +132,7 @@ def cover_via_fes(g: Graph) -> CoverCertificate:
     component count, which the matching number dominates; the total is then
     at most twice the packing number.
     """
-    hg = triangle_hypergraph(g)
-    fes = minimal_fes(hg)
-    dropped = fes.removed_hyperedges
-    picks = frozenset(min(hg.hyperedge(f)) for f in dropped)
-    residual = delete_hyperedges(hg, dropped) if dropped else hg
-    pair = solve_acyclic(residual)
-    cover = pair.transversal | picks
-    claimed = Fraction(len(pair.matching) + len(dropped))
-    return CoverCertificate("fes", frozenset(cover), claimed, picks, pair, fes_hyperedges=dropped)
+    return _via_fes(triangle_hypergraph(g))
 
 
 def cover_via_bipartite(g: Graph) -> CoverCertificate:
@@ -142,9 +152,10 @@ def best_cover(g: Graph) -> CoverCertificate:
     Ties prefer fvs, then fes, then bipartite. The chosen certificate records
     all three sizes.
     """
+    h = triangle_hypergraph(g)
     certs = {
-        "fvs": cover_via_fvs(g),
-        "fes": cover_via_fes(g),
+        "fvs": _via_fvs(h),
+        "fes": _via_fes(h),
         "bipartite": cover_via_bipartite(g),
     }
     sizes = {name: certs[name].size for name in STRATEGY_ORDER}
@@ -182,17 +193,6 @@ def hypergraph_cover(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) ->
     if isolated:
         raise IsolatedVertexError(f"isolated vertices not allowed: {sorted(isolated)}")
 
-    fvs = feedback_vertex_set(h)
-    res_fvs = solve_acyclic(delete_vertices(h, fvs.removed_vertices) if fvs.removed_vertices else h)
-    cover_fvs = fvs.removed_vertices | res_fvs.transversal
-    claimed_fvs = Fraction(h.num_hyperedges, 3) + len(res_fvs.matching)
-
-    fes = minimal_fes(h)
-    picks = frozenset(min(h.hyperedge(f)) for f in fes.removed_hyperedges)
-    res_fes = solve_acyclic(delete_hyperedges(h, fes.removed_hyperedges) if fes.removed_hyperedges else h)
-    cover_fes = res_fes.transversal | picks
-    claimed_fes = Fraction(len(res_fes.matching) + len(fes.removed_hyperedges))
-
     m = h.num_hyperedges
     if 3 * _greedy_matching_size(h) >= m:
         cond_i = "true"
@@ -204,15 +204,8 @@ def hypergraph_cover(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) ->
     cond_ii = "true" if len(h.vertices) >= 2 * m else "false"
     conditions = {"i": cond_i, "ii": cond_ii}
 
-    if len(cover_fes) < len(cover_fvs):
-        return CoverCertificate(
-            "fes", frozenset(cover_fes), claimed_fes, picks, res_fes,
-            fes_hyperedges=fes.removed_hyperedges, conditions=conditions,
-        )
-    return CoverCertificate(
-        "fvs", frozenset(cover_fvs), claimed_fvs, fvs.removed_vertices, res_fvs,
-        trace=fvs.trace, conditions=conditions,
-    )
+    fvs, fes = _via_fvs(h), _via_fes(h)
+    return dataclasses.replace(fes if fes.size < fvs.size else fvs, conditions=conditions)
 
 
 @dataclass(frozen=True)
@@ -250,19 +243,20 @@ def condition_report(g: Graph, use_oracle: bool = False, budget: OracleBudget | 
     budget cap.
     """
     budget = budget or GRAPH_BUDGET
-    triangles = triangle_hypergraph(g)
-    num_t = triangles.num_hyperedges
+    h = triangle_hypergraph(g)
+    num_t = h.num_hyperedges
     num_e = g.num_edges
-    num_e_irr = irreducible_subgraph(g).num_edges
-
-    nu_lower = len(greedy_triangle_packing(g))
+    # Hyperedge ids follow the canonical triangle order, so these equal the
+    # irreducible subgraph's edge count and the greedy packing's size.
+    num_e_irr = len(h.non_isolated_vertices())
+    nu_lower = _greedy_matching_size(h)
     nu_exact: int | None = None
     if use_oracle:
         nu_exact, _ = max_triangle_packing(g, budget)
 
     cover_sizes = {
-        "fvs": cover_via_fvs(g).size,
-        "fes": cover_via_fes(g).size,
+        "fvs": _via_fvs(h).size,
+        "fes": _via_fes(h).size,
         "bipartite": cover_via_bipartite(g).size,
     }
     nu_upper = min(cover_sizes.values())

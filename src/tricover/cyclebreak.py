@@ -25,11 +25,11 @@ from .hypergraph import (
     _Forest,
     _incidence_adj,
     _on_cycle,
+    _shortest_cycle,
     components,
     is_acyclic,
     is_k_uniform,
     is_linear,
-    shortest_cycle,
 )
 
 __all__ = [
@@ -137,6 +137,17 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
 
     Every rule removes at least three hyperedges per taken vertex, which gives
     the floor(m/3) bound.
+    """
+    if not is_k_uniform(h, 3):
+        raise NotThreeUniformError("feedback_vertex_set requires a 3-uniform hypergraph")
+    if not is_linear(h):
+        raise NotLinearError("feedback_vertex_set requires a linear hypergraph")
+    return _feedback_vertex_set(h)
+
+
+def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
+    """feedback_vertex_set without its precondition checks, for callers that
+    already know h is 3-uniform and linear (triangle hypergraphs always are).
 
     The rules act on one working copy, deleting in place. Cycle membership
     is computed once and reused across rule 2 steps: an off-cycle vertex
@@ -144,11 +155,6 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     destroys no cycle and creates none. Rules 3 to 5 delete on-cycle
     hyperedges, so membership is recomputed on the step after them.
     """
-    if not is_k_uniform(h, 3):
-        raise NotThreeUniformError("feedback_vertex_set requires a 3-uniform hypergraph")
-    if not is_linear(h):
-        raise NotLinearError("feedback_vertex_set requires a linear hypergraph")
-
     state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
@@ -202,7 +208,8 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
             continue
 
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
-        cyc = shortest_cycle(cur)
+        # cur is a sub-hypergraph of the linear input, hence linear itself.
+        cyc = _shortest_cycle(cur)
         if cyc is None:
             raise InvariantError("a 2-regular hypergraph with hyperedges has no cycle")
         vs, es = list(cyc.vertices), list(cyc.hyperedge_ids)

@@ -131,17 +131,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec, tuple(records))
 
 
-CSV_FIELDS = (
-    "trial",
-    "seed",
-    "edges",
-    "steiner_survivors",
-    "packing_lower",
-    "cover_size",
-    "packing_over_edges",
-    "cover_over_packing",
-    "packing_ge_quarter_edges",
-    "cover_le_twice_packing",
+# (CSV column and CLI record key, TrialRecord attribute), in output order.
+RECORD_COLUMNS = (
+    ("trial", "index"),
+    ("seed", "seed"),
+    ("edges", "num_edges"),
+    ("steiner_survivors", "steiner_survivors"),
+    ("packing_lower", "packing_lower"),
+    ("cover_size", "cover_size"),
+    ("packing_over_edges", "packing_over_edges"),
+    ("cover_over_packing", "cover_over_packing"),
+    ("packing_ge_quarter_edges", "packing_ge_quarter_edges"),
+    ("cover_le_twice_packing", "cover_le_twice_packing"),
 )
 
 
@@ -157,19 +158,6 @@ def write_csv(result: ExperimentResult, path: str) -> None:
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
+        writer.writerow([column for column, _ in RECORD_COLUMNS])
         for r in result.records:
-            writer.writerow(
-                [
-                    cell(r.index),
-                    cell(r.seed),
-                    cell(r.num_edges),
-                    cell(r.steiner_survivors),
-                    cell(r.packing_lower),
-                    cell(r.cover_size),
-                    cell(r.packing_over_edges),
-                    cell(r.cover_over_packing),
-                    cell(r.packing_ge_quarter_edges),
-                    cell(r.cover_le_twice_packing),
-                ]
-            )
+            writer.writerow([cell(getattr(r, attr)) for _, attr in RECORD_COLUMNS])

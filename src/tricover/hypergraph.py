@@ -1,4 +1,4 @@
-"""Hypergraphs with the path/cycle machinery used by the cycle-breaking engines.
+"""Hypergraphs with the cycle machinery used by the cycle-breaking engines.
 
 A cycle of length k >= 2 is an alternating sequence v1 e1 v2 e2 ... vk ek v1
 with distinct vertices, distinct hyperedges, and {v_i, v_{i+1}} contained in
@@ -106,17 +106,6 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
-class Path:
-    """Alternating path v1 e1 v2 ... ek v(k+1); a single vertex is a path of length 0."""
-
-    vertices: tuple[int, ...]
-    hyperedge_ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.hyperedge_ids)
-
-
-@dataclass(frozen=True)
 class Cycle:
     """Alternating cycle v1 e1 v2 ... vk ek v1 in canonical form.
 
@@ -148,21 +137,6 @@ class Cycle:
                 if best is None or cand < best:
                     best = cand
         return cls(*best)
-
-
-def validate_path(h: Hypergraph, path: Path) -> None:
-    """Raise ValueError unless path satisfies the alternating-path invariants in h."""
-    vs, es = path.vertices, path.hyperedge_ids
-    if len(vs) != len(es) + 1:
-        raise ValueError("path needs one more vertex than hyperedges")
-    if len(set(vs)) != len(vs) or len(set(es)) != len(es):
-        raise ValueError("path vertices and hyperedges must be distinct")
-    for i, eid in enumerate(es):
-        if not {vs[i], vs[i + 1]} <= h.hyperedge(eid):
-            raise ValueError(f"hyperedge {eid} does not contain consecutive vertices")
-    for v in vs:
-        if v not in h.vertices:
-            raise ValueError(f"unknown vertex {v}")
 
 
 def validate_cycle(h: Hypergraph, cycle: Cycle) -> None:
@@ -519,6 +493,11 @@ def shortest_cycle(h: Hypergraph) -> Cycle | None:
     """
     if not is_linear(h):
         raise NotLinearError("cycle search requires a linear hypergraph")
+    return _shortest_cycle(h)
+
+
+def _shortest_cycle(h: Hypergraph) -> Cycle | None:
+    """shortest_cycle for a hypergraph already known to be linear."""
     adj = _incidence_adj(h)
     girth = _girth(h, adj)
     if girth is None:

@@ -1,7 +1,10 @@
+import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricover import (
     Graph,
@@ -19,7 +22,9 @@ from tricover import (
     disjoint_union,
     enumerate_triangles,
     fano_plane,
+    greedy_triangle_packing,
     hypergraph_cover,
+    irreducible_subgraph,
     max_matching,
     max_triangle_packing,
     min_transversal,
@@ -27,6 +32,7 @@ from tricover import (
     random_gnp,
     triangle_hypergraph,
 )
+from tricover.cover import _greedy_matching_size
 
 from generators import book_graph, small_graph_corpus, two_regular_fixtures
 
@@ -275,6 +281,67 @@ class TestConditionReport:
         assert r.ratios["edges_over_triangles"] == Fraction(5, 1)
         assert r.ratios["irreducible_edges_over_triangles"] == Fraction(3, 1)
         assert r.cond_iii == "true"
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record each call of fn made through any tricover module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tricover" or name.startswith("tricover."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+gnp_params = dict(n=st.integers(0, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+
+
+class TestOnePipeline:
+    """The graph entry points build the triangle hypergraph once and share
+    the fvs and fes routes with the per-strategy functions."""
+
+    @pytest.mark.parametrize("entry", [best_cover, condition_report])
+    def test_builds_the_instance_once(self, monkeypatch, entry):
+        triangles = count_calls(monkeypatch, enumerate_triangles)
+        builds = count_calls(monkeypatch, triangle_hypergraph)
+        entry(random_gnp(12, 0.6, 3))
+        assert (len(triangles), len(builds)) == (1, 1)
+
+    @settings(max_examples=80, derandomize=True)
+    @given(**gnp_params)
+    def test_hypergraph_counts_equal_graph_counts(self, n, p, seed):
+        # condition_report reads both graph counts off the triangle hypergraph.
+        g = random_gnp(n, p, seed)
+        h = triangle_hypergraph(g)
+        assert _greedy_matching_size(h) == len(greedy_triangle_packing(g))
+        assert len(h.non_isolated_vertices()) == irreducible_subgraph(g).num_edges
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(**gnp_params)
+    def test_entry_points_agree_with_the_strategies(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        certs = {"fvs": cover_via_fvs(g), "fes": cover_via_fes(g), "bipartite": cover_via_bipartite(g)}
+        sizes = {name: cert.size for name, cert in certs.items()}
+        best = best_cover(g)
+        assert best.strategy_sizes == sizes
+        assert dataclasses.replace(best, strategy_sizes=None) == certs[best.strategy]
+        report = condition_report(g)
+        assert report.cover_sizes == sizes
+        assert report.nu_lower == len(greedy_triangle_packing(g))
+        assert report.num_irreducible_edges == irreducible_subgraph(g).num_edges
+        reduced = irreducible_subgraph(g)
+        if reduced.num_edges:
+            # No isolated vertices: hypergraph_cover runs the graph routes'
+            # pipeline and keeps the smaller cover, fvs on ties.
+            fvs, fes = cover_via_fvs(reduced), cover_via_fes(reduced)
+            cert = hypergraph_cover(triangle_hypergraph(reduced))
+            assert dataclasses.replace(cert, conditions=None) == (fes if fes.size < fvs.size else fvs)
 
 
 class TestTwoApproximationUnderConditions:

@@ -231,7 +231,7 @@ class TestHypergraphCommands:
         def broken(h):
             raise InvariantError("broken invariant")
 
-        monkeypatch.setattr(tricover.cli, "feedback_vertex_set", broken)
+        monkeypatch.setattr(tricover.cli, "_feedback_vertex_set", broken)
         with pytest.raises(InvariantError):
             main(["fvs", fano_file])
 
