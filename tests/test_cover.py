@@ -331,11 +331,11 @@ class TestOnePipeline:
         best = best_cover(g)
         assert best.strategy_sizes == sizes
         assert dataclasses.replace(best, strategy_sizes=None) == certs[best.strategy]
+        reduced = irreducible_subgraph(g)
         report = condition_report(g)
         assert report.cover_sizes == sizes
         assert report.nu_lower == len(greedy_triangle_packing(g))
-        assert report.num_irreducible_edges == irreducible_subgraph(g).num_edges
-        reduced = irreducible_subgraph(g)
+        assert report.num_irreducible_edges == reduced.num_edges
         if reduced.num_edges:
             # No isolated vertices: hypergraph_cover runs the graph routes'
             # pipeline and keeps the smaller cover, fvs on ties.
