@@ -3,26 +3,27 @@
 `feedback_vertex_set` is the original engine: it rebuilds the hypergraph
 after every deletion and recomputes cycle membership from scratch on every
 step, with its own bridge computation (`_bridge_edges`, `on_cycle_elements`)
-and the pairwise linearity scan (`is_linear_pairwise`). The package's
-engine must return exactly the same removed set and trace.
+and the pairwise linearity scan (`is_linear_pairwise`). Its cycle searches
+(`_cycle_through_edge`, `shortest_cycle` with its `_girth` pre-pass, and the
+canonical form `_canonical`) run BFS over an encoded incidence adjacency
+(`_incidence_adj`). None of them call the package's search code, so the
+package's engine and searches must return exactly the same results as an
+independent implementation.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections import deque
+from typing import Iterable, Mapping
 
 from tricover.cyclebreak import FvsResult, TraceStep
-from tricover.errors import NotLinearError, NotThreeUniformError
+from tricover.errors import InvariantError, NotLinearError, NotThreeUniformError
 from tricover.hypergraph import (
     Cycle,
     Hypergraph,
-    _cycle_through_edge,
-    _enode,
-    _incidence_adj,
     delete_hyperedges,
     delete_vertices,
     is_k_uniform,
-    shortest_cycle,
 )
 
 
@@ -34,6 +35,30 @@ def is_linear_pairwise(h: Hypergraph) -> bool:
             if len(edges[i] & edges[j]) > 1:
                 return False
     return True
+
+
+# Incidence-graph node encoding: vertex v -> 2v, hyperedge e -> 2e+1.
+
+
+def _vnode(v: int) -> int:
+    return v << 1
+
+
+def _enode(e: int) -> int:
+    return (e << 1) | 1
+
+
+def _node_id(x: int) -> int:
+    return x >> 1
+
+
+def _incidence_adj(h: Hypergraph) -> dict[int, tuple[int, ...]]:
+    adj: dict[int, list[int]] = {}
+    for v in h.vertices:
+        adj[_vnode(v)] = [_enode(e) for e in h.incident(v)]
+    for eid, e in zip(h.hyperedge_ids, h.hyperedges):
+        adj[_enode(eid)] = [_vnode(v) for v in sorted(e)]
+    return {x: tuple(ns) for x, ns in adj.items()}
 
 
 def _bridge_edges(adj: Mapping[int, tuple[int, ...]]) -> set[frozenset[int]]:
@@ -87,6 +112,156 @@ def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
             cyc_edges.add(eid)
     cyc_verts = {v for e in cyc_edges for v in h.hyperedge(e)}
     return frozenset(cyc_verts), frozenset(cyc_edges)
+
+
+def _canonical(vertices: Iterable[int], hyperedge_ids: Iterable[int]) -> Cycle:
+    """Among all rotations of both orientations, the lexicographically least
+    (vertices, hyperedge_ids) pair."""
+    vs = list(vertices)
+    es = list(hyperedge_ids)
+    if len(vs) != len(es) or len(vs) < 2:
+        raise ValueError("cycle needs equally many vertices and hyperedges, at least 2 each")
+    k = len(vs)
+    # Reflected traversal: v1, vk, ..., v2 along ek, e(k-1), ..., e1.
+    rvs = [vs[0]] + vs[:0:-1]
+    res = es[::-1]
+    best = None
+    for seq_v, seq_e in ((vs, es), (rvs, res)):
+        for r in range(k):
+            cand = (tuple(seq_v[r:] + seq_v[:r]), tuple(seq_e[r:] + seq_e[:r]))
+            if best is None or cand < best:
+                best = cand
+    return Cycle(*best)
+
+
+def _bfs_path(adj: Mapping[int, tuple[int, ...]], src: int, dst: int, banned: int) -> list[int] | None:
+    """Shortest src -> dst node path avoiding `banned`, deterministic tie-break.
+
+    Neighbors are explored in the (sorted) adjacency order, so the parent of
+    every node is fixed and the returned path is reproducible.
+    """
+    if src == dst:
+        return [src]
+    prev: dict[int, int] = {src: src}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y == banned or y in prev:
+                continue
+            prev[y] = x
+            if y == dst:
+                path = [y]
+                while path[-1] != src:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
+            queue.append(y)
+    return None
+
+
+def _cycle_key(cycle: Cycle) -> tuple:
+    return (len(cycle), tuple(sorted(cycle.hyperedge_ids)), cycle.vertices, cycle.hyperedge_ids)
+
+
+def _cycle_through_edge(h: Hypergraph, adj: Mapping[int, tuple[int, ...]], eid: int) -> Cycle | None:
+    """Shortest cycle whose hyperedge set contains eid, or None.
+
+    Any such cycle enters and leaves eid through two of its vertices; the rest
+    is an alternating path between them avoiding eid. One BFS per vertex pair
+    is exact.
+    """
+    members = sorted(h.hyperedge(eid))
+    best: Cycle | None = None
+    best_key: tuple | None = None
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            a, b = members[i], members[j]
+            path = _bfs_path(adj, _vnode(a), _vnode(b), _enode(eid))
+            if path is None:
+                continue
+            # Node path alternates a, e1, w1, ..., b; spine of the cycle is
+            # a -> (through eid) -> b -> back along the path.
+            verts = [_node_id(x) for x in path[::2]]
+            edges = [_node_id(x) for x in path[1::2]]
+            cyc = _canonical([verts[0]] + verts[:0:-1], [eid] + edges[::-1])
+            key = _cycle_key(cyc)
+            if best_key is None or key < best_key:
+                best, best_key = cyc, key
+    return best
+
+
+def _girth(h: Hypergraph, adj: Mapping[int, tuple[int, ...]]) -> int | None:
+    best: int | None = None
+    for eid in h.hyperedge_ids:
+        members = sorted(h.hyperedge(eid))
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                path = _bfs_path(adj, _vnode(members[i]), _vnode(members[j]), _enode(eid))
+                if path is None:
+                    continue
+                length = 1 + len(path) // 2
+                if best is None or length < best:
+                    best = length
+    return best
+
+
+def shortest_cycle(h: Hypergraph) -> Cycle | None:
+    """A minimum-length cycle of a linear hypergraph, or None when it is
+    acyclic; among all minimum-length cycles, the least under `_cycle_key`.
+    """
+    if not is_linear_pairwise(h):
+        raise NotLinearError("cycle search requires a linear hypergraph")
+    adj = _incidence_adj(h)
+    girth = _girth(h, adj)
+    if girth is None:
+        return None
+    best_key: tuple | None = None
+    best: Cycle | None = None
+    incident = {v: h.incident(v) for v in h.non_isolated_vertices()}
+
+    def report(verts: list[int], edges: list[int]) -> None:
+        nonlocal best, best_key
+        cyc = _canonical(verts, edges)
+        key = _cycle_key(cyc)
+        if best_key is None or key < best_key:
+            best, best_key = cyc, key
+
+    # Enumerate every cycle of length exactly `girth` whose least spine vertex
+    # is the start; shorter closures cannot exist.
+    for start in sorted(incident):
+        spine = [start]
+        used_edges: list[int] = []
+        used_edge_set: set[int] = set()
+        on_spine = {start}
+
+        def extend(cur: int) -> None:
+            depth = len(used_edges)
+            for eid in incident[cur]:
+                if eid in used_edge_set:
+                    continue
+                e = h.hyperedge(eid)
+                if depth == girth - 1:
+                    if start in e and cur != start:
+                        report(spine.copy(), used_edges + [eid])
+                    continue
+                for w in sorted(e):
+                    if w == cur or w in on_spine or w < start:
+                        continue
+                    spine.append(w)
+                    used_edges.append(eid)
+                    used_edge_set.add(eid)
+                    on_spine.add(w)
+                    extend(w)
+                    on_spine.discard(w)
+                    used_edge_set.discard(eid)
+                    used_edges.pop()
+                    spine.pop()
+
+        extend(start)
+    if best is None:
+        raise InvariantError(f"no cycle of length {girth} found, though the girth search found one")
+    return best
 
 
 def _rotate_edge_first(cycle: Cycle, eid: int) -> tuple[list[int], list[int]]:
