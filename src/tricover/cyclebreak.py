@@ -23,7 +23,7 @@ from .hypergraph import (
     Hypergraph,
     _cycle_through_edge,
     _Forest,
-    _incidence_adj,
+    _labellings,
     _on_cycle,
     _shortest_cycle,
     components,
@@ -71,15 +71,8 @@ def _rotate_edge_first(cycle: Cycle, eid: int) -> tuple[list[int], list[int]]:
     Both orientations are considered and the lexicographically smaller
     (vertices, hyperedges) labeling wins, so the outcome is deterministic.
     """
-    vs, es = list(cycle.vertices), list(cycle.hyperedge_ids)
-    rvs = [vs[0]] + vs[:0:-1]
-    res = es[::-1]
-    cands = []
-    for seq_v, seq_e in ((vs, es), (rvs, res)):
-        i = seq_e.index(eid)
-        cands.append((tuple(seq_v[i:] + seq_v[:i]), tuple(seq_e[i:] + seq_e[:i])))
-    best = min(cands)
-    return list(best[0]), list(best[1])
+    vs, es = min(lab for lab in _labellings(list(cycle.vertices), list(cycle.hyperedge_ids)) if lab[1][0] == eid)
+    return list(vs), list(es)
 
 
 class _WorkingState:
@@ -107,9 +100,6 @@ class _WorkingState:
     def drop_vertex(self, v: int) -> None:
         for eid in list(self.incident[v]):
             self.drop_edge(eid)
-
-    def snapshot(self) -> Hypergraph:
-        return Hypergraph._from_parts(frozenset(self.incident), self.edges)
 
 
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
@@ -192,11 +182,10 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             state.drop_vertex(high)
             continue
 
-        cur = state.snapshot()
         pendant = min((v for v, eids in state.incident.items() if len(eids) == 1), default=None)
         if pendant is not None:
-            e1 = cur.incident(pendant)[0]
-            cyc = _cycle_through_edge(cur, _incidence_adj(cur), e1)
+            (e1,) = state.incident[pendant]
+            cyc = _cycle_through_edge(state.edges, state.incident, e1)
             if cyc is None:
                 raise InvariantError(f"hyperedge {e1} survived rule 2 but lies on no cycle")
             vs, es = _rotate_edge_first(cyc, e1)
@@ -208,8 +197,9 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             continue
 
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
-        # cur is a sub-hypergraph of the linear input, hence linear itself.
-        cyc = _shortest_cycle(cur)
+        # The working copy is a sub-hypergraph of the linear input, hence
+        # linear itself.
+        cyc = _shortest_cycle(state.edges, state.incident)
         if cyc is None:
             raise InvariantError("a 2-regular hypergraph with hyperedges has no cycle")
         vs, es = list(cyc.vertices), list(cyc.hyperedge_ids)
@@ -217,7 +207,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
 
         def third(i: int) -> int:
             spine = {vs[i], vs[(i + 1) % k]}
-            rest = cur.hyperedge(es[i]) - spine
+            rest = state.edges[es[i]] - spine
             if len(rest) != 1:
                 raise InvariantError(f"cycle hyperedge {es[i]} has no single third vertex")
             return next(iter(rest))
@@ -225,7 +215,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         us = [third(i) for i in range(k)]
 
         def other_edge(u: int, ei: int) -> int:
-            rest = [f for f in cur.incident(u) if f != ei]
+            rest = [f for f in state.incident[u] if f != ei]
             if len(rest) != 1 or rest[0] in es:
                 raise InvariantError(f"vertex {u} of the 2-regular hypergraph has no single detour off the cycle")
             return rest[0]

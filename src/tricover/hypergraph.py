@@ -17,7 +17,10 @@ traces and witness sets always refer to the input instance.
 
 The incidence graph (bipartite, vertices on one side and hyperedges on the
 other, adjacency = membership) drives all cycle searches: hypergraph cycles of
-length k correspond exactly to incidence cycles of length 2k.
+length k correspond exactly to incidence cycles of length 2k. The searches
+read it from two mappings, hyperedge id -> members and non-isolated vertex ->
+incident hyperedge ids, which a Hypergraph holds and which the
+feedback-vertex-set engine mutates in place.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import InvariantError, NotLinearError
 from .graph import Graph, enumerate_triangles
@@ -78,9 +81,6 @@ class Hypergraph:
         except KeyError:
             raise ValueError(f"unknown hyperedge id {eid}") from None
 
-    def has_hyperedge(self, eid: int) -> bool:
-        return eid in self._edges
-
     def incident(self, v: int) -> tuple[int, ...]:
         """Ids of hyperedges containing v, ascending."""
         if v not in self.vertices:
@@ -126,17 +126,16 @@ class Cycle:
         es = list(hyperedge_ids)
         if len(vs) != len(es) or len(vs) < 2:
             raise ValueError("cycle needs equally many vertices and hyperedges, at least 2 each")
-        k = len(vs)
-        # Reflected traversal: v1, vk, ..., v2 along ek, e(k-1), ..., e1.
-        rvs = [vs[0]] + vs[:0:-1]
-        res = es[::-1]
-        best = None
-        for seq_v, seq_e in ((vs, es), (rvs, res)):
-            for r in range(k):
-                cand = (tuple(seq_v[r:] + seq_v[:r]), tuple(seq_e[r:] + seq_e[:r]))
-                if best is None or cand < best:
-                    best = cand
-        return cls(*best)
+        return cls(*min(_labellings(vs, es)))
+
+
+def _labellings(vs: list[int], es: list[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The 2k (vertices, hyperedge ids) labellings of one cycle v1 e1 ... vk ek:
+    every rotation of both orientations."""
+    # Reflected traversal: v1, vk, ..., v2 along ek, e(k-1), ..., e1.
+    for seq_v, seq_e in ((vs, es), ([vs[0]] + vs[:0:-1], es[::-1])):
+        for r in range(len(vs)):
+            yield tuple(seq_v[r:] + seq_v[:r]), tuple(seq_e[r:] + seq_e[:r])
 
 
 def validate_cycle(h: Hypergraph, cycle: Cycle) -> None:
@@ -237,36 +236,6 @@ def delete_hyperedges(h: Hypergraph, edge_ids: Iterable[int]) -> Hypergraph:
     return Hypergraph._from_parts(h.vertices, keep_edges)
 
 
-# ---------------------------------------------------------------------------
-# Incidence-graph internals.
-#
-# Nodes are encoded as ints: vertex v -> 2v, hyperedge e -> 2e+1. The shift
-# keeps vertex and hyperedge id spaces apart even when they overlap
-# numerically, and works for negative ids.
-# ---------------------------------------------------------------------------
-
-
-def _vnode(v: int) -> int:
-    return v << 1
-
-
-def _enode(e: int) -> int:
-    return (e << 1) | 1
-
-
-def _node_id(x: int) -> int:
-    return x >> 1
-
-
-def _incidence_adj(h: Hypergraph) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = {}
-    for v in h.vertices:
-        adj[_vnode(v)] = [_enode(e) for e in h.incident(v)]
-    for eid, e in zip(h.hyperedge_ids, h.hyperedges):
-        adj[_enode(eid)] = [_vnode(v) for v in sorted(e)]
-    return {x: tuple(ns) for x, ns in adj.items()}
-
-
 class _Forest:
     """Union-find over vertices, grown one hyperedge at a time.
 
@@ -330,9 +299,9 @@ def _on_cycle(
     bridges_at: dict[int, int] = {}
     timer = 0
     for root in incident:
-        # Encodings inlined from _vnode / _enode: this loop is the hot path
-        # of feedback_vertex_set. A node's lowpoint is only needed while it
-        # is on the stack, so it lives in the node's stack frame:
+        # Incidence nodes are ints: vertex v -> 2v, hyperedge e -> 2e+1, which
+        # keeps the two id spaces apart. A node's lowpoint is only needed
+        # while it is on the stack, so it lives in the node's stack frame:
         # [node, parent, unexplored neighbors, lowpoint, discovery time].
         rn = root << 1
         if rn in disc:
@@ -379,29 +348,37 @@ def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(cyc_verts), frozenset(cyc_edges)
 
 
-def _bfs_path(adj: Mapping[int, tuple[int, ...]], src: int, dst: int, banned: int) -> list[int] | None:
-    """Shortest src -> dst node path avoiding `banned`, deterministic tie-break.
+def _bfs_path(
+    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]], src: int, dst: int, banned: int
+) -> tuple[list[int], list[int]] | None:
+    """Shortest alternating path src e1 w1 ... ek dst avoiding hyperedge
+    `banned`, as (vertices, hyperedge ids), or None.
 
-    Neighbors are explored in the (sorted) adjacency order, so the parent of
-    every node is fixed and the returned path is reproducible.
+    BFS over the incidence graph that visits each vertex's hyperedges and
+    each hyperedge's members in ascending id order, so the parent of every
+    vertex and hyperedge is fixed and the returned path is reproducible.
     """
-    if src == dst:
-        return [src]
-    prev: dict[int, int] = {src: src}
+    via: dict[int, int] = {src: banned}  # vertex -> hyperedge it was reached through
+    entered: dict[int, int] = {banned: src}  # hyperedge -> vertex it was entered from
     queue = deque([src])
     while queue:
         x = queue.popleft()
-        for y in adj[x]:
-            if y == banned or y in prev:
+        for e in sorted(incident[x]):
+            if e in entered:
                 continue
-            prev[y] = x
-            if y == dst:
-                path = [y]
-                while path[-1] != src:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(y)
+            entered[e] = x
+            for w in sorted(edges[e]):
+                if w in via:
+                    continue
+                via[w] = e
+                if w == dst:
+                    verts, path_edges = [w], []
+                    while w != src:
+                        path_edges.append(via[w])
+                        w = entered[via[w]]
+                        verts.append(w)
+                    return verts[::-1], path_edges[::-1]
+                queue.append(w)
     return None
 
 
@@ -409,77 +386,28 @@ def _cycle_key(cycle: Cycle) -> tuple:
     return (len(cycle), tuple(sorted(cycle.hyperedge_ids)), cycle.vertices, cycle.hyperedge_ids)
 
 
-def _cycle_through_edge(h: Hypergraph, adj: Mapping[int, tuple[int, ...]], eid: int) -> Cycle | None:
+def _cycle_through_edge(
+    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]], eid: int
+) -> Cycle | None:
     """Shortest cycle whose hyperedge set contains eid, or None.
 
     Any such cycle enters and leaves eid through two of its vertices; the rest
     is an alternating path between them avoiding eid. One BFS per vertex pair
     is exact.
     """
-    members = sorted(h.hyperedge(eid))
     best: Cycle | None = None
     best_key: tuple | None = None
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            a, b = members[i], members[j]
-            path = _bfs_path(adj, _vnode(a), _vnode(b), _enode(eid))
-            if path is None:
-                continue
-            # Node path alternates a, e1, w1, ..., b; spine of the cycle is
-            # a -> (through eid) -> b -> back along the path.
-            verts = [_node_id(x) for x in path[::2]]
-            edges = [_node_id(x) for x in path[1::2]]
-            cyc = Cycle.canonical([verts[0]] + verts[:0:-1], [eid] + edges[::-1])
-            key = _cycle_key(cyc)
-            if best_key is None or key < best_key:
-                best, best_key = cyc, key
-    return best
-
-
-def find_cycle_through(h: Hypergraph, *, vertex: int | None = None, edge: int | None = None) -> Cycle | None:
-    """A cycle containing the given element, or None if there is none.
-
-    Exactly one of `vertex` and `edge` must be supplied. Containment follows
-    the sub-hypergraph reading: a vertex is contained in a cycle when it
-    belongs to any of the cycle's hyperedges. The hypergraph must be linear.
-    Deterministic: the shortest such cycle under a fixed tie-break is
-    returned.
-    """
-    if (vertex is None) == (edge is None):
-        raise ValueError("exactly one of vertex= and edge= must be given")
-    if not is_linear(h):
-        raise NotLinearError("cycle search requires a linear hypergraph")
-    adj = _incidence_adj(h)
-    if edge is not None:
-        if not h.has_hyperedge(edge):
-            raise ValueError(f"unknown hyperedge id {edge}")
-        return _cycle_through_edge(h, adj, edge)
-    if vertex not in h.vertices:
-        raise ValueError(f"unknown vertex id {vertex}")
-    best: Cycle | None = None
-    best_key: tuple | None = None
-    for eid in h.incident(vertex):
-        cyc = _cycle_through_edge(h, adj, eid)
-        if cyc is None:
+    for a, b in combinations(sorted(edges[eid]), 2):
+        path = _bfs_path(edges, incident, a, b, eid)
+        if path is None:
             continue
+        # The path runs a, e1, w1, ..., b; the cycle goes a -> (through eid)
+        # -> b -> back along the path.
+        verts, path_edges = path
+        cyc = Cycle.canonical([verts[0]] + verts[:0:-1], [eid] + path_edges[::-1])
         key = _cycle_key(cyc)
         if best_key is None or key < best_key:
             best, best_key = cyc, key
-    return best
-
-
-def _girth(h: Hypergraph, adj: Mapping[int, tuple[int, ...]]) -> int | None:
-    best: int | None = None
-    for eid in h.hyperedge_ids:
-        members = sorted(h.hyperedge(eid))
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                path = _bfs_path(adj, _vnode(members[i]), _vnode(members[j]), _enode(eid))
-                if path is None:
-                    continue
-                length = 1 + len(path) // 2
-                if best is None or length < best:
-                    best = length
     return best
 
 
@@ -493,58 +421,64 @@ def shortest_cycle(h: Hypergraph) -> Cycle | None:
     """
     if not is_linear(h):
         raise NotLinearError("cycle search requires a linear hypergraph")
-    return _shortest_cycle(h)
+    return _shortest_cycle(h._edges, h._incident)
 
 
-def _shortest_cycle(h: Hypergraph) -> Cycle | None:
-    """shortest_cycle for a hypergraph already known to be linear."""
-    adj = _incidence_adj(h)
-    girth = _girth(h, adj)
-    if girth is None:
+def _shortest_cycle(
+    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]
+) -> Cycle | None:
+    """shortest_cycle on hyperedge id -> members and non-isolated vertex ->
+    incident hyperedge ids, for a hypergraph already known to be linear.
+
+    A union-find pass returns None on acyclic input. Otherwise the girth is
+    found by iterative deepening: every cycle of length 3, 4, ... is
+    enumerated from its least spine vertex, and the first length that has
+    one is the girth. The winner is the least of those cycles under
+    _cycle_key, which is unique, so the enumeration order does not matter.
+    """
+    forest = _Forest()
+    if all(forest.link(e) for e in edges.values()):
         return None
-    best_key: tuple | None = None
     best: Cycle | None = None
-    incident = {v: h.incident(v) for v in h.non_isolated_vertices()}
+    best_key: tuple | None = None
+    spine: list[int] = []
+    on_spine: set[int] = set()
+    used_edges: list[int] = []
+    used_edge_set: set[int] = set()
 
-    def report(verts: list[int], edges: list[int]) -> None:
+    def extend(start: int, cur: int, length: int) -> None:
         nonlocal best, best_key
-        cyc = Cycle.canonical(verts, edges)
-        key = _cycle_key(cyc)
-        if best_key is None or key < best_key:
-            best, best_key = cyc, key
-
-    # Enumerate every cycle of length exactly `girth` whose least spine vertex
-    # is the start; shorter closures cannot exist.
-    for start in sorted(incident):
-        spine = [start]
-        used_edges: list[int] = []
-        used_edge_set: set[int] = set()
-        on_spine = {start}
-
-        def extend(cur: int) -> None:
-            depth = len(used_edges)
-            for eid in incident[cur]:
-                if eid in used_edge_set:
+        depth = len(used_edges)
+        for eid in incident[cur]:
+            if eid in used_edge_set:
+                continue
+            e = edges[eid]
+            if depth == length - 1:
+                if start in e:
+                    cyc = Cycle.canonical(spine, used_edges + [eid])
+                    key = _cycle_key(cyc)
+                    if best_key is None or key < best_key:
+                        best, best_key = cyc, key
+                continue
+            for w in e:
+                if w < start or w in on_spine:
                     continue
-                e = h.hyperedge(eid)
-                if depth == girth - 1:
-                    if start in e and cur != start:
-                        report(spine.copy(), used_edges + [eid])
-                    continue
-                for w in sorted(e):
-                    if w == cur or w in on_spine or w < start:
-                        continue
-                    spine.append(w)
-                    used_edges.append(eid)
-                    used_edge_set.add(eid)
-                    on_spine.add(w)
-                    extend(w)
-                    on_spine.discard(w)
-                    used_edge_set.discard(eid)
-                    used_edges.pop()
-                    spine.pop()
+                spine.append(w)
+                on_spine.add(w)
+                used_edges.append(eid)
+                used_edge_set.add(eid)
+                extend(start, w, length)
+                used_edge_set.discard(eid)
+                used_edges.pop()
+                on_spine.discard(w)
+                spine.pop()
 
-        extend(start)
-    if best is None:
-        raise InvariantError(f"no cycle of length {girth} found, though the girth search found one")
-    return best
+    # A cycle has at most one hyperedge per spine step, so it is no longer
+    # than the hyperedge count.
+    for length in range(3, len(edges) + 1):
+        for start in incident:
+            spine, on_spine = [start], {start}
+            extend(start, start, length)
+        if best is not None:
+            return best
+    raise InvariantError("no cycle found, though the union-find pass closed one")

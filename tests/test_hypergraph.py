@@ -14,7 +14,6 @@ from tricover import (
     delete_vertices,
     disjoint_union,
     fano_plane,
-    find_cycle_through,
     is_acyclic,
     is_k_uniform,
     is_linear,
@@ -24,15 +23,30 @@ from tricover import (
     triangle_hypergraph,
     validate_cycle,
 )
+from tricover.hypergraph import _cycle_key, _cycle_through_edge, _shortest_cycle
 
+import reference_fvs
 from generators import (
     book_graph,
     mixed_linear_corpus,
     random_acyclic_forest,
+    random_cubic_duals,
+    random_graph_hypergraphs,
     random_linear_3_uniform,
     two_regular_fixtures,
 )
 from reference_fvs import is_linear_pairwise
+
+
+def cycle_through_edge(h: Hypergraph, eid: int) -> Cycle | None:
+    return _cycle_through_edge(h._edges, h._incident, eid)
+
+
+def cycle_through_vertex(h: Hypergraph, v: int) -> Cycle | None:
+    """Shortest cycle whose hyperedges contain v: the least under _cycle_key
+    of the shortest cycles through v's hyperedges."""
+    cycles = [c for c in (cycle_through_edge(h, e) for e in h.incident(v)) if c is not None]
+    return min(cycles, key=_cycle_key, default=None)
 
 
 def brute_min_cycle_length(h: Hypergraph) -> int | None:
@@ -211,9 +225,9 @@ class TestCycleSearch:
             assert is_acyclic(h)
             assert shortest_cycle(h) is None
             for v in sorted(h.vertices):
-                assert find_cycle_through(h, vertex=v) is None
+                assert cycle_through_vertex(h, v) is None
             for e in h.hyperedge_ids:
-                assert find_cycle_through(h, edge=e) is None
+                assert cycle_through_edge(h, e) is None
 
     def test_fano_cycles_have_length_three(self):
         f = fano_plane()
@@ -221,7 +235,7 @@ class TestCycleSearch:
         assert c is not None and len(c) == 3
         validate_cycle(f, c)
         for e in f.hyperedge_ids:
-            cyc = find_cycle_through(f, edge=e)
+            cyc = cycle_through_edge(f, e)
             assert cyc is not None and len(cyc) == 3
             assert e in cyc.hyperedge_ids
             validate_cycle(f, cyc)
@@ -229,7 +243,7 @@ class TestCycleSearch:
     def test_k4_hypergraph_every_vertex_on_short_cycle(self):
         h = triangle_hypergraph(complete_graph(4))
         for v in sorted(h.vertices):
-            cyc = find_cycle_through(h, vertex=v)
+            cyc = cycle_through_vertex(h, v)
             assert cyc is not None and len(cyc) == 3
             validate_cycle(h, cyc)
             covered = set().union(*(h.hyperedge(e) for e in cyc.hyperedge_ids))
@@ -242,27 +256,16 @@ class TestCycleSearch:
         verts_on, edges_on = on_cycle_elements(h)
         assert edges_on == frozenset({0, 1, 2})
         assert verts_on == frozenset({0, 1, 2, 6, 7, 8})
-        cyc = find_cycle_through(h, vertex=6)
+        cyc = cycle_through_vertex(h, 6)
         assert cyc is not None
         assert 6 in set().union(*(h.hyperedge(e) for e in cyc.hyperedge_ids))
-        assert find_cycle_through(h, vertex=3) is None
+        assert cycle_through_vertex(h, 3) is None
 
     def test_rejects_non_linear(self):
         h = Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)])
         assert not is_linear(h)
         with pytest.raises(NotLinearError):
             shortest_cycle(h)
-        with pytest.raises(NotLinearError):
-            find_cycle_through(h, vertex=0)
-
-    def test_find_cycle_through_argument_validation(self):
-        h = triangle_hypergraph(complete_graph(4))
-        with pytest.raises(ValueError):
-            find_cycle_through(h)
-        with pytest.raises(ValueError):
-            find_cycle_through(h, vertex=0, edge=0)
-        with pytest.raises(ValueError, match="unknown"):
-            find_cycle_through(h, vertex=99)
 
     def test_non_linear_two_cycles_still_detected_by_is_acyclic(self):
         h = Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)])
@@ -299,8 +302,6 @@ class TestCycleSearch:
         assert c1.vertices[0] == min(c1.vertices)
 
     def test_shortest_cycle_is_exact_minimum_under_key(self):
-        from tricover.hypergraph import _cycle_key
-
         def all_cycles(h):
             out = set()
             edge_map = dict(zip(h.hyperedge_ids, h.hyperedges))
@@ -333,6 +334,55 @@ class TestCycleSearch:
             assert got == min(cycles, key=_cycle_key)
             checked += 1
         assert checked >= 15
+
+
+class TestCycleSearchAgainstReference:
+    """shortest_cycle and the per-hyperedge search must return exactly the
+    cycles of the reference's BFS-over-encoded-adjacency searches."""
+
+    @staticmethod
+    def assert_same(hypergraphs):
+        searched = 0
+        for h in hypergraphs:
+            # The cores get every key and value in descending id order, so
+            # their answers must not depend on the order of the mappings.
+            edges = {e: sorted(h.hyperedge(e), reverse=True) for e in reversed(h.hyperedge_ids)}
+            incident = {v: h.incident(v)[::-1] for v in sorted(h.non_isolated_vertices(), reverse=True)}
+            expected = reference_fvs.shortest_cycle(h)
+            assert shortest_cycle(h) == expected
+            assert _shortest_cycle(edges, incident) == expected
+            adj = reference_fvs._incidence_adj(h)
+            for e in h.hyperedge_ids:
+                assert _cycle_through_edge(edges, incident, e) == reference_fvs._cycle_through_edge(h, adj, e)
+            searched += h.num_hyperedges
+        assert searched > 0
+
+    def test_cubic_duals(self):
+        self.assert_same(
+            two_regular_fixtures() + random_cubic_duals(seed=91, count=80, sizes=(4, 8, 12, 16, 20, 24, 30))
+        )
+
+    def test_mixed_linear(self):
+        self.assert_same(mixed_linear_corpus(seed=92, count=150, max_hyperedges=40))
+
+    def test_triangle_hypergraphs_of_gnp(self):
+        self.assert_same(random_graph_hypergraphs(seed=93, count=60))
+
+    def test_random_linear_20_to_60_vertices(self):
+        rng = random.Random(94)
+        sizes = [rng.randint(20, 60) for _ in range(100)]
+        self.assert_same(random_linear_3_uniform(rng, nv, rng.randint(nv // 3, nv)) for nv in sizes)
+
+    def test_long_girth(self):
+        # One hyperedge cycle of length k with a pendant third vertex per
+        # hyperedge, spine labels shuffled: the girth is k.
+        rng = random.Random(95)
+        necklaces = []
+        for k in range(3, 16):
+            vs = rng.sample(range(k), k)
+            necklaces.append(Hypergraph(range(2 * k), [(vs[i], vs[(i + 1) % k], k + i) for i in range(k)]))
+        self.assert_same(necklaces)
+        assert [len(shortest_cycle(h)) for h in necklaces] == list(range(3, 16))
 
 
 class TestCycleCanonicalForm:
