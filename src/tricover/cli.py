@@ -1,8 +1,9 @@
 """Command-line interface: JSON certificates on stdout.
 
-Exit codes: 0 success, 2 input parse error, 3 precondition violation,
-4 budget exceeded. An InvariantError (an internal bug, not bad input) is
-not caught. Output is deterministic: identical inputs, flags, and
+Exit codes: 0 success, 2 input parse error, 3 precondition violation (any
+other TricoverError), 4 budget exceeded. Any other exception, such as an
+InvariantError or a bare ValueError, is an internal bug rather than bad
+input and is not caught. Output is deterministic: identical inputs, flags, and
 seeds produce byte-identical JSON.
 """
 
@@ -26,10 +27,7 @@ from .cover import (
 from .cyclebreak import _feedback_vertex_set, fes_size_bound, is_acyclic, is_minimal_fes, minimal_fes
 from .errors import (
     BudgetExceededError,
-    CyclicInputError,
-    EmptyHyperedgeError,
     GraphFormatError,
-    IsolatedVertexError,
     NotLinearError,
     NotThreeUniformError,
     TricoverError,
@@ -44,15 +42,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
-
-_PRECONDITION_ERRORS = (
-    NotLinearError,
-    NotThreeUniformError,
-    CyclicInputError,
-    EmptyHyperedgeError,
-    IsolatedVertexError,
-    ValueError,
-)
 
 
 def _frac(x: Fraction | None) -> str | None:
@@ -296,9 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_BUDGET
-    except _PRECONDITION_ERRORS as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except TricoverError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -35,6 +35,11 @@ class IsolatedVertexError(TricoverError):
     """Operation requires a hypergraph without isolated vertices."""
 
 
+class ExperimentSpecError(TricoverError, ValueError):
+    """An experiment spec has an out-of-range or unknown field. Also a
+    ValueError, since it rejects a bad argument value."""
+
+
 class BudgetExceededError(TricoverError):
     """An exact search ran past its instance-size, node, or time budget."""
 

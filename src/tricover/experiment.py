@@ -19,6 +19,7 @@ import csv
 from dataclasses import dataclass
 
 from .cover import cover_via_bipartite
+from .errors import ExperimentSpecError
 from .graph import Triangle, extend_packing, greedy_triangle_packing, random_gnp
 from .oracles import steiner_triple_system
 
@@ -35,15 +36,15 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise ValueError("n must be nonnegative")
+            raise ExperimentSpecError("n must be nonnegative")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+            raise ExperimentSpecError("p must lie in [0, 1]")
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise ExperimentSpecError("need at least one trial")
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
+            raise ExperimentSpecError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
         if self.estimator == "steiner-seeded" and (self.n < 3 or self.n % 6 not in (1, 3)):
-            raise ValueError("steiner-seeded estimator needs n = 1 or 3 (mod 6), n >= 3")
+            raise ExperimentSpecError("steiner-seeded estimator needs n = 1 or 3 (mod 6), n >= 3")
 
 
 @dataclass(frozen=True)

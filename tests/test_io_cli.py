@@ -235,6 +235,14 @@ class TestHypergraphCommands:
         with pytest.raises(InvariantError):
             main(["fvs", fano_file])
 
+    def test_bare_value_error_is_not_a_precondition_exit(self, fano_file, monkeypatch):
+        def broken(h):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(tricover.cli, "_feedback_vertex_set", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["fvs", fano_file])
+
     def test_fes_on_fano_bound(self, capsys, fano_file):
         code, out, _ = run_cli(capsys, "fes", fano_file)
         payload = json.loads(out)
@@ -290,6 +298,11 @@ class TestRandomExperimentCommand:
             "--estimator", "steiner-seeded",
         )
         assert code == 3
+
+    def test_out_of_range_probability_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "random-experiment", "--n", "9", "--p", "1.5", "--trials", "1")
+        assert code == 3 and out == ""
+        assert "p must lie in [0, 1]" in err
 
     def test_csv_output(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
