@@ -1,7 +1,7 @@
 """Exact minimum transversal and maximum matching on acyclic hypergraphs.
 
-On a cycle-free hypergraph the two optima coincide. The solver builds the
-rooted incidence forest and sweeps hyperedge nodes from deepest to shallowest:
+On a cycle-free hypergraph the two optima coincide. The solver roots the
+incidence forest and sweeps hyperedge nodes from deepest to shallowest:
 whenever a hyperedge is not yet hit, its attachment vertex on the root side
 joins the transversal and the hyperedge joins the matching. The two sets come
 out the same size; since every matching is at most as large as every
@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CyclicInputError, EmptyHyperedgeError
-from .hypergraph import Hypergraph, is_acyclic
+from .hypergraph import Hypergraph
 
 
 @dataclass(frozen=True)
@@ -33,49 +33,32 @@ class DualPair:
         return len(self.transversal)
 
 
-@dataclass(frozen=True)
-class IncidenceForest:
-    """Rooted forest over the vertex/hyperedge incidence structure.
+def solve_acyclic(h: Hypergraph) -> DualPair:
+    """Minimum transversal and maximum matching of an acyclic hypergraph.
 
-    Roots are the least vertex id of each component. parent_edge maps a
-    vertex to the hyperedge above it (None at roots); parent_vertex maps a
-    hyperedge to the vertex above it. Depths count incidence steps from the
-    root, so vertices sit at even and hyperedges at odd depths.
-    """
+    One BFS over the incidence structure, from the least unreached vertex of
+    each component, visiting each vertex's hyperedges and each hyperedge's
+    members in ascending id order, records every hyperedge's depth and the
+    vertex it was entered from. A hyperedge holding an already reached vertex
+    other than that entry vertex closes a cycle. Hyperedges are then
+    processed deepest first (ties by id); a not-yet-hit hyperedge contributes
+    its entry vertex to the transversal and itself to the matching.
+    Components are independent, so this global order equals per-component
+    processing.
 
-    roots: tuple[int, ...]
-    parent_edge: dict[int, int | None]
-    parent_vertex: dict[int, int]
-    vertex_depth: dict[int, int]
-    edge_depth: dict[int, int]
-
-    @property
-    def num_trees(self) -> int:
-        return len(self.roots)
-
-
-def forest_decompose(h: Hypergraph) -> IncidenceForest:
-    """Root the incidence structure of an acyclic hypergraph.
-
-    Raises CyclicInputError on cyclic input and EmptyHyperedgeError when some
-    hyperedge has no vertices (it could not be attached to any tree).
+    Raises EmptyHyperedgeError when some hyperedge has no vertices (it could
+    not be attached to any tree), and CyclicInputError on cyclic input.
     """
     for eid, e in zip(h.hyperedge_ids, h.hyperedges):
         if not e:
             raise EmptyHyperedgeError(f"hyperedge {eid} is empty")
-    if not is_acyclic(h):
-        raise CyclicInputError("hypergraph has a cycle")
 
-    roots: list[int] = []
-    parent_edge: dict[int, int | None] = {}
-    parent_vertex: dict[int, int] = {}
     vertex_depth: dict[int, int] = {}
     edge_depth: dict[int, int] = {}
+    entry: dict[int, int] = {}
     for root in sorted(h.vertices):
         if root in vertex_depth:
             continue
-        roots.append(root)
-        parent_edge[root] = None
         vertex_depth[root] = 0
         queue = deque([root])
         while queue:
@@ -83,32 +66,20 @@ def forest_decompose(h: Hypergraph) -> IncidenceForest:
             for eid in h.incident(v):
                 if eid in edge_depth:
                     continue
-                edge_depth[eid] = vertex_depth[v] + 1
-                parent_vertex[eid] = v
+                depth = edge_depth[eid] = vertex_depth[v] + 1
+                entry[eid] = v
                 for w in sorted(h.hyperedge(eid)):
                     if w in vertex_depth:
+                        if w != v:
+                            raise CyclicInputError("hypergraph has a cycle")
                         continue
-                    vertex_depth[w] = edge_depth[eid] + 1
-                    parent_edge[w] = eid
+                    vertex_depth[w] = depth + 1
                     queue.append(w)
-    return IncidenceForest(tuple(roots), parent_edge, parent_vertex, vertex_depth, edge_depth)
 
-
-def solve_acyclic(h: Hypergraph) -> DualPair:
-    """Minimum transversal and maximum matching of an acyclic hypergraph.
-
-    Hyperedges are processed deepest first (ties by id); a not-yet-hit
-    hyperedge contributes its parent-side vertex to the transversal and
-    itself to the matching. Components are independent, so this global order
-    equals per-component processing.
-    """
-    forest = forest_decompose(h)
-    order = sorted(h.hyperedge_ids, key=lambda e: (-forest.edge_depth[e], e))
     transversal: set[int] = set()
     matching: set[int] = set()
-    for eid in order:
-        e = h.hyperedge(eid)
-        if e.isdisjoint(transversal):
-            transversal.add(forest.parent_vertex[eid])
+    for eid in sorted(h.hyperedge_ids, key=lambda e: (-edge_depth[e], e)):
+        if h.hyperedge(eid).isdisjoint(transversal):
+            transversal.add(entry[eid])
             matching.add(eid)
     return DualPair(frozenset(transversal), frozenset(matching))

@@ -24,7 +24,7 @@ from .cover import (
     cover_via_fes,
     cover_via_fvs,
 )
-from .cyclebreak import _feedback_vertex_set, fes_size_bound, is_acyclic, is_minimal_fes, minimal_fes
+from .cyclebreak import _feedback_vertex_set, fes_size_bound, is_minimal_fes, minimal_fes
 from .errors import (
     BudgetExceededError,
     GraphFormatError,
@@ -33,7 +33,7 @@ from .errors import (
     TricoverError,
 )
 from .experiment import RECORD_COLUMNS, ExperimentSpec, run_experiment, write_csv
-from .hypergraph import delete_hyperedges, delete_vertices, is_k_uniform, is_linear, triangle_hypergraph
+from .hypergraph import delete_hyperedges, delete_vertices, is_acyclic, is_k_uniform, is_linear, triangle_hypergraph
 from .io import parse_graph, parse_hypergraph
 
 SCHEMA = 1

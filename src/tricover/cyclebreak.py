@@ -19,15 +19,12 @@ from typing import Collection, Iterator
 
 from .errors import InvariantError, NotLinearError, NotThreeUniformError
 from .hypergraph import (
-    Cycle,
     Hypergraph,
-    _cycle_through_edge,
+    _bfs_path,
     _Forest,
-    _labellings,
     _on_cycle,
     _shortest_cycle,
     components,
-    is_acyclic,
     is_k_uniform,
     is_linear,
 )
@@ -38,7 +35,6 @@ __all__ = [
     "feedback_vertex_set",
     "minimal_fes",
     "is_minimal_fes",
-    "is_acyclic",
     "fes_size_bound",
 ]
 
@@ -63,16 +59,6 @@ class FesResult:
     and re-adding any single removed hyperedge recreates a cycle."""
 
     removed_hyperedges: frozenset[int]
-
-
-def _rotate_edge_first(cycle: Cycle, eid: int) -> tuple[list[int], list[int]]:
-    """Relabel the cycle so that hyperedge eid comes first.
-
-    Both orientations are considered and the lexicographically smaller
-    (vertices, hyperedges) labeling wins, so the outcome is deterministic.
-    """
-    vs, es = min(lab for lab in _labellings(list(cycle.vertices), list(cycle.hyperedge_ids)) if lab[1][0] == eid)
-    return list(vs), list(es)
 
 
 class _WorkingState:
@@ -185,14 +171,19 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         pendant = min((v for v, eids in state.incident.items() if len(eids) == 1), default=None)
         if pendant is not None:
             (e1,) = state.incident[pendant]
-            cyc = _cycle_through_edge(state.edges, state.incident, e1)
-            if cyc is None:
+            # The pendant vertex lies on no cycle, so every cycle through e1
+            # enters and leaves it at its other two members a < b. The
+            # shortest path a ... e3 v3 e2 b avoiding e1 closes the cycle
+            # a e1 b e2 v3 e3 ... a: its least labelling that starts with e1.
+            a, b = sorted(state.edges[e1] - {pendant})
+            path = _bfs_path(state.edges, state.incident, a, b, e1)
+            if path is None:
                 raise InvariantError(f"hyperedge {e1} survived rule 2 but lies on no cycle")
-            vs, es = _rotate_edge_first(cyc, e1)
-            v3 = vs[2]
+            verts, path_edges = path
+            v3, e2, e3 = verts[-2], path_edges[-1], path_edges[-2]
             removed.add(v3)
-            trace.append(("take_vertex_past_pendant_edge", (pendant, e1, es[1], es[2], v3)))
-            for eid in es[:3]:
+            trace.append(("take_vertex_past_pendant_edge", (pendant, e1, e2, e3, v3)))
+            for eid in (e1, e2, e3):
                 state.drop_edge(eid)
             continue
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import InvariantError, NotLinearError
 from .graph import Graph, enumerate_triangles
@@ -126,16 +126,14 @@ class Cycle:
         es = list(hyperedge_ids)
         if len(vs) != len(es) or len(vs) < 2:
             raise ValueError("cycle needs equally many vertices and hyperedges, at least 2 each")
-        return cls(*min(_labellings(vs, es)))
-
-
-def _labellings(vs: list[int], es: list[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The 2k (vertices, hyperedge ids) labellings of one cycle v1 e1 ... vk ek:
-    every rotation of both orientations."""
-    # Reflected traversal: v1, vk, ..., v2 along ek, e(k-1), ..., e1.
-    for seq_v, seq_e in ((vs, es), ([vs[0]] + vs[:0:-1], es[::-1])):
-        for r in range(len(vs)):
-            yield tuple(seq_v[r:] + seq_v[:r]), tuple(seq_e[r:] + seq_e[:r])
+        # Every rotation of both orientations; the reflected traversal runs
+        # v1, vk, ..., v2 along ek, e(k-1), ..., e1.
+        labellings = (
+            (tuple(sv[r:] + sv[:r]), tuple(se[r:] + se[:r]))
+            for sv, se in ((vs, es), ([vs[0]] + vs[:0:-1], es[::-1]))
+            for r in range(len(vs))
+        )
+        return cls(*min(labellings))
 
 
 def validate_cycle(h: Hypergraph, cycle: Cycle) -> None:
@@ -384,31 +382,6 @@ def _bfs_path(
 
 def _cycle_key(cycle: Cycle) -> tuple:
     return (len(cycle), tuple(sorted(cycle.hyperedge_ids)), cycle.vertices, cycle.hyperedge_ids)
-
-
-def _cycle_through_edge(
-    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]], eid: int
-) -> Cycle | None:
-    """Shortest cycle whose hyperedge set contains eid, or None.
-
-    Any such cycle enters and leaves eid through two of its vertices; the rest
-    is an alternating path between them avoiding eid. One BFS per vertex pair
-    is exact.
-    """
-    best: Cycle | None = None
-    best_key: tuple | None = None
-    for a, b in combinations(sorted(edges[eid]), 2):
-        path = _bfs_path(edges, incident, a, b, eid)
-        if path is None:
-            continue
-        # The path runs a, e1, w1, ..., b; the cycle goes a -> (through eid)
-        # -> b -> back along the path.
-        verts, path_edges = path
-        cyc = Cycle.canonical([verts[0]] + verts[:0:-1], [eid] + path_edges[::-1])
-        key = _cycle_key(cyc)
-        if best_key is None or key < best_key:
-            best, best_key = cyc, key
-    return best
 
 
 def shortest_cycle(h: Hypergraph) -> Cycle | None:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .graph import Graph, PackingWitness, Triangle, complete_graph, enumerate_triangles
 from .hypergraph import Hypergraph, delete_hyperedges, delete_vertices, is_acyclic, on_cycle_elements
 
@@ -192,40 +192,36 @@ def min_transversal(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> 
     return len(cover), frozenset(cover)
 
 
+def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tuple[int, frozenset[int]]:
+    """Exact minimum set of on-cycle vertices (or hyperedges) whose deletion
+    leaves h acyclic: the first hit of an ordered subset search by size."""
+    _check_size(h.num_hyperedges, budget, "hypergraph")
+    if is_acyclic(h):
+        return 0, frozenset()
+    search = _Search(budget)
+    verts_on, edges_on = on_cycle_elements(h)
+    candidates = sorted(verts_on if vertices else edges_on)
+    delete = delete_vertices if vertices else delete_hyperedges
+    for k in range(1, len(candidates) + 1):
+        for combo in combinations(candidates, k):
+            search.tick()
+            if is_acyclic(delete(h, combo)):
+                return k, frozenset(combo)
+    raise InvariantError("deleting every on-cycle element left a cycle")
+
+
 def min_feedback_vertex_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum vertex set meeting every cycle, by ordered subset search.
 
     Only vertices lying on some cycle are candidates: any other vertex can be
     dropped from a feedback vertex set without reintroducing a cycle.
     """
-    _check_size(h.num_hyperedges, budget, "hypergraph")
-    if is_acyclic(h):
-        return 0, frozenset()
-    search = _Search(budget)
-    pool, _ = on_cycle_elements(h)
-    candidates = sorted(pool)
-    for k in range(1, len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            search.tick()
-            if is_acyclic(delete_vertices(h, combo)):
-                return k, frozenset(combo)
-    raise AssertionError("deleting all on-cycle vertices must break every cycle")
+    return _min_feedback_set(h, budget, vertices=True)
 
 
 def min_feedback_edge_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum hyperedge set meeting every cycle, by ordered subset search."""
-    _check_size(h.num_hyperedges, budget, "hypergraph")
-    if is_acyclic(h):
-        return 0, frozenset()
-    search = _Search(budget)
-    _, pool = on_cycle_elements(h)
-    candidates = sorted(pool)
-    for k in range(1, len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            search.tick()
-            if is_acyclic(delete_hyperedges(h, combo)):
-                return k, frozenset(combo)
-    raise AssertionError("deleting all on-cycle hyperedges must break every cycle")
+    return _min_feedback_set(h, budget, vertices=False)
 
 
 def _bose_triples(n: int) -> list[tuple[int, int, int]]:
@@ -293,7 +289,7 @@ def steiner_triple_system(n: int) -> PackingWitness:
     witness = PackingWitness(tuple(triangles))
     witness.validate(kn)
     if 3 * len(witness) != kn.num_edges:
-        raise AssertionError("decomposition does not cover every edge exactly once")
+        raise InvariantError("decomposition does not cover every edge exactly once")
     return witness
 
 

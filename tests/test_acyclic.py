@@ -2,18 +2,19 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricover import (
     CyclicInputError,
     EmptyHyperedgeError,
     Hypergraph,
     complete_graph,
-    forest_decompose,
+    is_acyclic,
     solve_acyclic,
     triangle_hypergraph,
 )
 
-from generators import random_acyclic_forest, random_hypertree
+from generators import mixed_linear_corpus, random_acyclic_forest
 
 
 def brute_tau(h: Hypergraph) -> int:
@@ -42,40 +43,6 @@ def brute_nu(h: Hypergraph) -> int:
                 best = max(best, k)
                 break
     return best
-
-
-class TestForestDecompose:
-    def test_single_hyperedge_one_tree_four_nodes(self):
-        h = Hypergraph(range(3), [(0, 1, 2)])
-        forest = forest_decompose(h)
-        assert forest.num_trees == 1
-        assert len(forest.vertex_depth) + len(forest.edge_depth) == 4
-
-    def test_connected_three_edge_tree_counts(self):
-        rng = random.Random(12)
-        h = random_hypertree(rng, 3)
-        forest = forest_decompose(h)
-        assert forest.num_trees == 1
-        assert len(forest.vertex_depth) == 2 * 3 + 1
-        assert len(forest.edge_depth) == 3
-
-    def test_two_components_two_trees(self):
-        h = Hypergraph(range(6), [(0, 1, 2), (3, 4, 5)])
-        assert forest_decompose(h).num_trees == 2
-
-    def test_roots_are_least_vertex_ids(self):
-        h = Hypergraph(range(6), [(2, 1, 0), (5, 4, 3)])
-        assert forest_decompose(h).roots == (0, 3)
-
-    def test_rejects_cyclic(self):
-        h = triangle_hypergraph(complete_graph(4))
-        with pytest.raises(CyclicInputError):
-            forest_decompose(h)
-
-    def test_rejects_empty_hyperedge(self):
-        h = Hypergraph(range(3), [(0, 1, 2), ()])
-        with pytest.raises(EmptyHyperedgeError):
-            forest_decompose(h)
 
 
 class TestSolveAcyclic:
@@ -165,3 +132,51 @@ class TestSolveAcyclic:
                 matching |= pair.matching
             assert transversal == set(whole.transversal)
             assert matching == set(whole.matching)
+
+
+@st.composite
+def small_hypergraphs(draw) -> Hypergraph:
+    """1-14 vertices, hyperedges of 0-4 members; not necessarily linear. An
+    empty hyperedge is inserted in about one draw of five, so that the other
+    branches stay common."""
+    n = draw(st.integers(1, 14))
+    edges = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(4, n)), max_size=10))
+    if draw(st.integers(0, 4)) == 3:
+        edges.insert(draw(st.integers(0, len(edges))), frozenset())
+    return Hypergraph(range(n), edges)
+
+
+class TestOnePassCycleCheck:
+    @settings(max_examples=400, derandomize=True)
+    @given(h=small_hypergraphs())
+    def test_agrees_with_union_find(self, h):
+        # solve_acyclic's BFS finds cycles itself; is_acyclic is the
+        # independent union-find answer.
+        if any(not e for e in h.hyperedges):
+            with pytest.raises(EmptyHyperedgeError):
+                solve_acyclic(h)
+        elif not is_acyclic(h):
+            with pytest.raises(CyclicInputError):
+                solve_acyclic(h)
+        else:
+            pair = solve_acyclic(h)
+            assert all(pair.transversal & e for e in h.hyperedges)
+            picked = [h.hyperedge(e) for e in sorted(pair.matching)]
+            assert all(a.isdisjoint(b) for i, a in enumerate(picked) for b in picked[i + 1 :])
+            assert len(pair.transversal) == len(pair.matching)
+
+    def test_linear_cycles_of_every_length(self):
+        # Random cyclic hypergraphs are rarely linear, so linear ones, whose
+        # cycles have length 3 or more, are checked here: random ones and
+        # single k-cycles with one pendant vertex per hyperedge.
+        corpus = mixed_linear_corpus(seed=60, count=120, max_hyperedges=12)
+        corpus += [Hypergraph(range(2 * k), [(i, (i + 1) % k, k + i) for i in range(k)]) for k in range(3, 12)]
+        cyclic = 0
+        for h in corpus:
+            if is_acyclic(h):
+                assert len(solve_acyclic(h).matching) > 0
+            else:
+                cyclic += 1
+                with pytest.raises(CyclicInputError):
+                    solve_acyclic(h)
+        assert 20 <= cyclic <= len(corpus) - 20

@@ -23,7 +23,7 @@ from tricover import (
     triangle_hypergraph,
     validate_cycle,
 )
-from tricover.hypergraph import _cycle_key, _cycle_through_edge, _shortest_cycle
+from tricover.hypergraph import _cycle_key, _shortest_cycle
 
 import reference_fvs
 from generators import (
@@ -36,17 +36,6 @@ from generators import (
     two_regular_fixtures,
 )
 from reference_fvs import is_linear_pairwise
-
-
-def cycle_through_edge(h: Hypergraph, eid: int) -> Cycle | None:
-    return _cycle_through_edge(h._edges, h._incident, eid)
-
-
-def cycle_through_vertex(h: Hypergraph, v: int) -> Cycle | None:
-    """Shortest cycle whose hyperedges contain v: the least under _cycle_key
-    of the shortest cycles through v's hyperedges."""
-    cycles = [c for c in (cycle_through_edge(h, e) for e in h.incident(v)) if c is not None]
-    return min(cycles, key=_cycle_key, default=None)
 
 
 def brute_min_cycle_length(h: Hypergraph) -> int | None:
@@ -224,28 +213,26 @@ class TestCycleSearch:
             h = random_acyclic_forest(rng, rng.randint(1, 8))
             assert is_acyclic(h)
             assert shortest_cycle(h) is None
-            for v in sorted(h.vertices):
-                assert cycle_through_vertex(h, v) is None
-            for e in h.hyperedge_ids:
-                assert cycle_through_edge(h, e) is None
+            assert on_cycle_elements(h) == (frozenset(), frozenset())
 
     def test_fano_cycles_have_length_three(self):
         f = fano_plane()
         c = shortest_cycle(f)
         assert c is not None and len(c) == 3
         validate_cycle(f, c)
-        for e in f.hyperedge_ids:
-            cyc = cycle_through_edge(f, e)
-            assert cyc is not None and len(cyc) == 3
-            assert e in cyc.hyperedge_ids
-            validate_cycle(f, cyc)
+        assert on_cycle_elements(f) == (f.vertices, frozenset(f.hyperedge_ids))
 
     def test_k4_hypergraph_every_vertex_on_short_cycle(self):
         h = triangle_hypergraph(complete_graph(4))
+        assert on_cycle_elements(h)[0] == h.vertices
         for v in sorted(h.vertices):
-            cyc = cycle_through_vertex(h, v)
+            # Any three of K4's four triangles form a 3-cycle; drop one
+            # that misses v.
+            away = next(e for e in h.hyperedge_ids if v not in h.hyperedge(e))
+            sub = delete_hyperedges(h, [away])
+            cyc = shortest_cycle(sub)
             assert cyc is not None and len(cyc) == 3
-            validate_cycle(h, cyc)
+            validate_cycle(sub, cyc)
             covered = set().union(*(h.hyperedge(e) for e in cyc.hyperedge_ids))
             assert v in covered
 
@@ -256,10 +243,10 @@ class TestCycleSearch:
         verts_on, edges_on = on_cycle_elements(h)
         assert edges_on == frozenset({0, 1, 2})
         assert verts_on == frozenset({0, 1, 2, 6, 7, 8})
-        cyc = cycle_through_vertex(h, 6)
+        cyc = shortest_cycle(h)
         assert cyc is not None
-        assert 6 in set().union(*(h.hyperedge(e) for e in cyc.hyperedge_ids))
-        assert cycle_through_vertex(h, 3) is None
+        covered = set().union(*(h.hyperedge(e) for e in cyc.hyperedge_ids))
+        assert 6 in covered and 3 not in covered
 
     def test_rejects_non_linear(self):
         h = Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)])
@@ -337,8 +324,8 @@ class TestCycleSearch:
 
 
 class TestCycleSearchAgainstReference:
-    """shortest_cycle and the per-hyperedge search must return exactly the
-    cycles of the reference's BFS-over-encoded-adjacency searches."""
+    """shortest_cycle must return exactly the cycle of the reference's
+    BFS-over-encoded-adjacency search."""
 
     @staticmethod
     def assert_same(hypergraphs):
@@ -351,9 +338,6 @@ class TestCycleSearchAgainstReference:
             expected = reference_fvs.shortest_cycle(h)
             assert shortest_cycle(h) == expected
             assert _shortest_cycle(edges, incident) == expected
-            adj = reference_fvs._incidence_adj(h)
-            for e in h.hyperedge_ids:
-                assert _cycle_through_edge(edges, incident, e) == reference_fvs._cycle_through_edge(h, adj, e)
             searched += h.num_hyperedges
         assert searched > 0
 
