@@ -97,22 +97,15 @@ def _cmd_cover(args) -> int:
             explain["edge_legend"] = {
                 str(e): [labels[u], labels[v]] for e, (u, v) in enumerate(g.edges)
             }
-        if cert.fes_hyperedges is not None:
-            explain["dropped_triangles"] = [
-                _edge_labels(g, labels, triple) for triple in _fes_triples(g, cert)
-            ]
+        if (dropped := cert.fes_hyperedges) is not None:
+            hg = triangle_hypergraph(g)
+            explain["dropped_triangles"] = [_edge_labels(g, labels, hg.hyperedge(f)) for f in sorted(dropped)]
         if cert.residual_pair is not None:
             explain["residual_transversal"] = _edge_labels(g, labels, cert.residual_pair.transversal)
             explain["residual_matching_size"] = len(cert.residual_pair.matching)
         payload["explain"] = explain
     _emit(payload)
     return EXIT_OK
-
-
-def _fes_triples(g, cert: CoverCertificate):
-    """Dropped hyperedges of the fes strategy as sorted edge-id triples."""
-    hg = triangle_hypergraph(g)
-    return [sorted(hg.hyperedge(f)) for f in sorted(cert.fes_hyperedges or ())]
 
 
 def _cmd_analyze(args) -> int:

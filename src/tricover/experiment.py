@@ -106,8 +106,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             alive = []
             for a, b, c in base_triples:
                 if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
-                    es = tuple(sorted((g.edge_id(a, b), g.edge_id(b, c), g.edge_id(a, c))))
-                    alive.append(Triangle((a, b, c), es))
+                    # Steiner triples are sorted, a < b < c, so these ids ascend.
+                    alive.append(Triangle((a, b, c), (g.edge_id(a, b), g.edge_id(a, c), g.edge_id(b, c))))
             survivors = len(alive)
             packing = extend_packing(g, alive)
         else:

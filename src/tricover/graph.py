@@ -112,37 +112,28 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def _make_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
-    vs = tuple(sorted((a, b, c)))
-    es = tuple(sorted((g.edge_id(a, b), g.edge_id(b, c), g.edge_id(a, c))))
-    return Triangle(vs, es)  # type: ignore[arg-type]
-
-
 def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     """All triangles of g, each exactly once, ordered by sorted vertex triple.
 
     Scans each edge (u, v) with u < v and keeps only common neighbors w > v,
     so every triangle is reported from its lexicographically smallest edge.
+    For u < v < w the ids of uv, uw and vw already ascend, as pairs do.
     """
     out: list[Triangle] = []
-    for u, v in g.edges:
-        common = g.neighbors(u) & g.neighbors(v)
-        for w in sorted(common):
+    for uv, (u, v) in enumerate(g.edges):
+        for w in sorted(g.neighbors(u) & g.neighbors(v)):
             if w > v:
-                out.append(_make_triangle(g, u, v, w))
+                out.append(Triangle((u, v, w), (uv, g._edge_index[u, w], g._edge_index[v, w])))
     return tuple(out)
 
 
 def irreducible_subgraph(g: Graph) -> Graph:
-    """g minus every edge lying in no triangle.
+    """g minus every edge lying in no triangle, i.e. whose ends share no neighbor.
 
     One pass suffices: removing an edge outside all triangles destroys no
     triangle, so the triangle set is preserved exactly.
     """
-    keep: set[int] = set()
-    for t in enumerate_triangles(g):
-        keep.update(t.edge_ids)
-    return Graph(g.n, (g.edge_pair(e) for e in sorted(keep)))
+    return Graph(g.n, ((u, v) for u, v in g.edges if g.neighbors(u) & g.neighbors(v)))
 
 
 def bipartite_cut_cover(g: Graph) -> frozenset[int]:
@@ -170,16 +161,24 @@ def bipartite_cut_cover(g: Graph) -> frozenset[int]:
 def extend_packing(g: Graph, base: Sequence[Triangle]) -> PackingWitness:
     """Greedily extend an edge-disjoint triangle set to a maximal one.
 
-    Candidates are scanned in canonical triangle order. Raises ValueError if
-    the base set is not edge-disjoint or not made of triangles of g.
+    Candidates are taken in canonical triangle order: by smallest edge, in
+    id order, so the scan takes the first free triangle on each unused edge
+    (a triangle taken on uv uses uv up). Raises ValueError if the base set
+    is not edge-disjoint or not made of triangles of g.
     """
     chosen = list(base)
     PackingWitness(tuple(chosen)).validate(g)
     used = {e for t in chosen for e in t.edge_ids}
-    for t in enumerate_triangles(g):
-        if used.isdisjoint(t.edge_ids):
-            chosen.append(t)
-            used.update(t.edge_ids)
+    for uv, (u, v) in enumerate(g.edges):
+        if uv in used:
+            continue
+        for w in sorted(g.neighbors(u) & g.neighbors(v)):
+            if w > v:
+                uw, vw = g._edge_index[u, w], g._edge_index[v, w]
+                if uw not in used and vw not in used:
+                    chosen.append(Triangle((u, v, w), (uv, uw, vw)))
+                    used.update((uv, uw, vw))
+                    break
     return PackingWitness(tuple(chosen))
 
 
@@ -190,9 +189,10 @@ def greedy_triangle_packing(g: Graph, seed: int | None = None) -> PackingWitness
     candidate order is shuffled reproducibly by that seed. The result is
     always maximal: no remaining triangle of g is edge-disjoint from it.
     """
+    if seed is None:
+        return extend_packing(g, ())
     tris = list(enumerate_triangles(g))
-    if seed is not None:
-        random.Random(seed).shuffle(tris)
+    random.Random(seed).shuffle(tris)
     chosen: list[Triangle] = []
     used: set[int] = set()
     for t in tris:

@@ -283,8 +283,7 @@ def steiner_triple_system(n: int) -> PackingWitness:
     triangles = []
     for trip in triples:
         a, b, c = sorted(trip)
-        es = tuple(sorted((kn.edge_id(a, b), kn.edge_id(b, c), kn.edge_id(a, c))))
-        triangles.append(Triangle((a, b, c), es))
+        triangles.append(Triangle((a, b, c), (kn.edge_id(a, b), kn.edge_id(a, c), kn.edge_id(b, c))))
     triangles.sort(key=lambda t: t.vertices)
     witness = PackingWitness(tuple(triangles))
     witness.validate(kn)

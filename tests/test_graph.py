@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricover import (
     Graph,
+    PackingWitness,
+    Triangle,
     bipartite_cut_cover,
     complete_graph,
     disjoint_union,
@@ -14,6 +17,7 @@ from tricover import (
     greedy_triangle_packing,
     irreducible_subgraph,
     random_gnp,
+    steiner_triple_system,
 )
 
 from generators import book_graph
@@ -28,6 +32,26 @@ def brute_triangles(g: Graph) -> set[tuple[int, int, int]]:
                 if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
                     found.add((a, b, c))
     return found
+
+
+def reference_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
+    return Triangle((a, b, c), tuple(sorted((g.edge_id(a, b), g.edge_id(b, c), g.edge_id(a, c)))))
+
+
+def reference_extend_packing(g: Graph, base) -> PackingWitness:
+    """The greedy extension before the edge-driven scan: every triangle in
+    canonical order, taken when edge-disjoint from those chosen. Triangles
+    come from an own triple scan, not from enumerate_triangles."""
+    chosen = list(base)
+    used = {e for t in chosen for e in t.edge_ids}
+    for a, b, c in combinations(range(g.n), 3):
+        if not (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)):
+            continue
+        t = reference_triangle(g, a, b, c)
+        if used.isdisjoint(t.edge_ids):
+            chosen.append(t)
+            used.update(t.edge_ids)
+    return PackingWitness(tuple(chosen))
 
 
 def is_bipartite(g: Graph, skip_edges: frozenset[int]) -> bool:
@@ -116,6 +140,18 @@ class TestTriangleEnumeration:
             a, b, c = t.vertices
             assert t.edge_ids == tuple(sorted((g.edge_id(a, b), g.edge_id(b, c), g.edge_id(a, c))))
 
+    @settings(max_examples=150, derandomize=True)
+    @given(n=st.integers(0, 14), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    def test_sort_free_triangles_are_canonical(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        tris = enumerate_triangles(g)
+        for t in tris:
+            a, b, c = t.vertices
+            assert a < b < c
+            assert t.edge_ids[0] < t.edge_ids[1] < t.edge_ids[2]
+            assert t.edge_ids == tuple(sorted((g.edge_id(a, b), g.edge_id(b, c), g.edge_id(a, c))))
+        assert [t.vertices for t in tris] == sorted(t.vertices for t in tris)
+
 
 class TestIrreducibleSubgraph:
     def test_pendant_edge_dropped(self):
@@ -132,6 +168,14 @@ class TestIrreducibleSubgraph:
     def test_k4_is_fixed_point(self):
         g = complete_graph(4)
         assert irreducible_subgraph(g) == g
+
+    @settings(max_examples=60, derandomize=True)
+    @given(n=st.integers(0, 14), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    def test_keeps_exactly_the_triangle_edges(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        kept = {pair for a, b, c in brute_triangles(g) for pair in ((a, b), (a, c), (b, c))}
+        r = irreducible_subgraph(g)
+        assert r.n == g.n and r.edges == tuple(sorted(kept))
 
     def test_idempotent_and_triangle_preserving(self):
         rng = random.Random(7)
@@ -201,6 +245,44 @@ class TestGreedyPacking:
         t = enumerate_triangles(g)
         with pytest.raises(ValueError):
             extend_packing(g, (t[0], t[1]))
+
+
+class TestEdgeDrivenPacking:
+    """extend_packing scans edges and takes the first free triangle on each
+    unused one; it must equal the one-triangle-at-a-time reference."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(0, 14),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10**6),
+        base_seed=st.integers(0, 10**6),
+        keep=st.floats(0.0, 1.0),
+    )
+    def test_matches_reference(self, n, p, seed, base_seed, keep):
+        g = random_gnp(n, p, seed)
+        greedy = extend_packing(g, ())
+        assert greedy == reference_extend_packing(g, ())
+        assert greedy_triangle_packing(g) == greedy
+        # A random edge-disjoint base, in random order.
+        rng = random.Random(base_seed)
+        tris = [reference_triangle(g, *abc) for abc in sorted(brute_triangles(g))]
+        rng.shuffle(tris)
+        base: list[Triangle] = []
+        used: set[int] = set()
+        for t in tris:
+            if rng.random() < keep and used.isdisjoint(t.edge_ids):
+                base.append(t)
+                used.update(t.edge_ids)
+        assert extend_packing(g, base) == reference_extend_packing(g, base)
+
+    @settings(max_examples=90, derandomize=True, deadline=None)
+    @given(n=st.sampled_from([7, 9, 13]), p=st.floats(0.5, 1.0), seed=st.integers(0, 10**6))
+    def test_steiner_survivors_base(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        alive = brute_triangles(g)
+        base = [reference_triangle(g, *t.vertices) for t in steiner_triple_system(n).triangles if t.vertices in alive]
+        assert extend_packing(g, base) == reference_extend_packing(g, base)
 
 
 class TestGeneratorsAndGadgets:
