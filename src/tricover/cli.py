@@ -1,7 +1,8 @@
 """Command-line interface: JSON certificates on stdout.
 
-Exit codes: 0 success, 2 input parse error, 3 precondition violation (any
-other TricoverError), 4 budget exceeded. Any other exception, such as an
+Exit codes: 0 success, 2 input parse error (an unreadable or non-UTF-8 file
+included), 3 precondition violation (any other TricoverError, an unwritable
+--csv path included), 4 budget exceeded. Any other exception, such as an
 InvariantError or a bare ValueError, is an internal bug rather than bad
 input and is not caught. Output is deterministic: identical inputs, flags, and
 seeds produce byte-identical JSON.
@@ -50,10 +51,12 @@ def _frac(x: Fraction | None) -> str | None:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as ex:
         raise GraphFormatError(f"cannot read {path}: {ex.strerror}") from ex
+    except UnicodeDecodeError as ex:
+        raise GraphFormatError(f"cannot read {path}: {ex}") from ex
 
 
 def _emit(payload: dict) -> None:
@@ -201,7 +204,10 @@ def _cmd_random_experiment(args) -> int:
     spec = ExperimentSpec(n=args.n, p=args.p, trials=args.trials, seed=args.seed, estimator=args.estimator)
     result = run_experiment(spec)
     if args.csv:
-        write_csv(result, args.csv)
+        try:
+            write_csv(result, args.csv)
+        except OSError as ex:
+            raise TricoverError(f"cannot write {args.csv}: {ex.strerror}") from ex
     payload = {
         "schema": SCHEMA,
         "command": "random-experiment",

@@ -39,7 +39,7 @@ from .hypergraph import (
     is_linear,
     triangle_hypergraph,
 )
-from .oracles import GRAPH_BUDGET, HYPERGRAPH_BUDGET, OracleBudget, max_matching, max_triangle_packing
+from .oracles import HYPERGRAPH_BUDGET, max_matching, max_triangle_packing
 
 STRATEGY_ORDER = ("fvs", "fes", "bipartite")
 
@@ -173,7 +173,7 @@ def _greedy_matching_size(h: Hypergraph) -> int:
     return count
 
 
-def hypergraph_cover(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> CoverCertificate:
+def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
     """Transversal of a linear 3-uniform hypergraph without isolated vertices.
 
     Runs both the feedback-vertex-set route and the feedback-edge-set route
@@ -181,8 +181,8 @@ def hypergraph_cover(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) ->
     the recorded conditions the winner has size at most twice the matching
     number:
 
-    * condition i: matching number >= |hyperedges|/3 (status needs a matching
-      lower bound or, within budget, the exact oracle; otherwise "unknown");
+    * condition i: matching number >= |hyperedges|/3 (a matching lower bound
+      or the exact oracle within HYPERGRAPH_BUDGET decides it, else "unknown");
     * condition ii: |vertices| >= 2 |hyperedges| (always decided exactly).
     """
     if not is_k_uniform(h, 3):
@@ -196,8 +196,8 @@ def hypergraph_cover(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) ->
     m = h.num_hyperedges
     if 3 * _greedy_matching_size(h) >= m:
         cond_i = "true"
-    elif m <= budget.max_edges:
-        nu, _ = max_matching(h, budget)
+    elif m <= HYPERGRAPH_BUDGET.max_edges:
+        nu, _ = max_matching(h)
         cond_i = "true" if 3 * nu >= m else "false"
     else:
         cond_i = "unknown"
@@ -232,17 +232,16 @@ class ConditionReport:
     ratios: Mapping[str, Fraction | None]
 
 
-def condition_report(g: Graph, use_oracle: bool = False, budget: OracleBudget | None = None) -> ConditionReport:
+def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
     """Evaluate the three sufficient conditions on g.
 
     Condition i compares the packing number against |triangles|/3, condition
     ii against |E|/4, and condition iii asks for |E'| >= 2 |triangles| on the
     irreducible subgraph (edges outside triangles cannot help a cover, so the
     reduced edge count is the meaningful one; the raw ratio is reported too).
-    With use_oracle the exact packing number is computed, subject to the
-    budget cap.
+    With use_oracle the exact packing number is computed, subject to
+    GRAPH_BUDGET.
     """
-    budget = budget or GRAPH_BUDGET
     h = triangle_hypergraph(g)
     num_t = h.num_hyperedges
     num_e = g.num_edges
@@ -252,7 +251,7 @@ def condition_report(g: Graph, use_oracle: bool = False, budget: OracleBudget | 
     nu_lower = _greedy_matching_size(h)
     nu_exact: int | None = None
     if use_oracle:
-        nu_exact, _ = max_triangle_packing(g, budget)
+        nu_exact, _ = max_triangle_packing(g)
 
     cover_sizes = {
         "fvs": _via_fvs(h).size,

@@ -15,7 +15,7 @@ Two engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterator
+from typing import Collection
 
 from .errors import InvariantError, NotLinearError, NotThreeUniformError
 from .hypergraph import (
@@ -125,42 +125,30 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """feedback_vertex_set without its precondition checks, for callers that
     already know h is 3-uniform and linear (triangle hypergraphs always are).
 
-    The rules act on one working copy, deleting in place. Cycle membership
-    is computed once and reused across rule 2 steps: an off-cycle vertex
-    has only off-cycle hyperedges, so dropping it or an off-cycle hyperedge
-    destroys no cycle and creates none. Rules 3 to 5 delete on-cycle
-    hyperedges, so membership is recomputed on the step after them.
+    The rules act on one working copy, deleting in place. Each loop computes
+    cycle membership once and sweeps rule 2 with it, off-cycle vertices then
+    hyperedges in ascending order, while more than two hyperedges remain:
+    an off-cycle vertex has only off-cycle hyperedges, so dropping it or an
+    off-cycle hyperedge destroys no cycle and creates none. One of rules 3
+    to 5 follows; it deletes on-cycle hyperedges, so the next loop computes
+    membership again.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
-    # Ascending off-cycle vertices and hyperedges from the last membership
-    # computation; None when it is stale. Entries that have since become
-    # isolated or been deleted are skipped, and no new ones can appear.
-    off_vertices: Iterator[int] | None = None
-    off_edges: Iterator[int] = iter(())
-    while True:
+    while len(state.edges) > 2:
+        verts_on, edges_on = _on_cycle(state.edges, state.incident)
+        for v in sorted(v for v in state.incident if v not in verts_on):
+            if v in state.incident and len(state.edges) > 2:
+                trace.append(("drop_off_cycle_vertex", (v,)))
+                state.drop_vertex(v)
+        for eid in sorted(e for e in state.edges if e not in edges_on):
+            if eid in state.edges and len(state.edges) > 2:
+                trace.append(("drop_off_cycle_hyperedge", (eid,)))
+                state.drop_edge(eid)
         if len(state.edges) <= 2:
-            trace.append(("base", ()))
             break
 
-        if off_vertices is None:
-            verts_on, edges_on = _on_cycle(state.edges, state.incident)
-            off_vertices = iter(sorted(v for v in state.incident if v not in verts_on))
-            off_edges = iter(sorted(e for e in state.edges if e not in edges_on))
-
-        off_vertex = next((v for v in off_vertices if v in state.incident), None)
-        if off_vertex is not None:
-            trace.append(("drop_off_cycle_vertex", (off_vertex,)))
-            state.drop_vertex(off_vertex)
-            continue
-        off_edge = next((e for e in off_edges if e in state.edges), None)
-        if off_edge is not None:
-            trace.append(("drop_off_cycle_hyperedge", (off_edge,)))
-            state.drop_edge(off_edge)
-            continue
-
-        off_vertices = None
         high = min((v for v, eids in state.incident.items() if len(eids) >= 3), default=None)
         if high is not None:
             removed.add(high)
@@ -245,6 +233,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         for eid in drop:
             state.drop_edge(eid)
 
+    trace.append(("base", ()))
     return FvsResult(frozenset(removed), tuple(trace))
 
 

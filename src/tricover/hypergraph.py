@@ -190,28 +190,17 @@ def components(h: Hypergraph) -> tuple[Component, ...]:
     Isolated vertices form singleton components. Empty hyperedges touch no
     vertex and are not assigned to any component.
     """
-    seen: set[int] = set()
-    out: list[Component] = []
-    for start in sorted(h.vertices):
-        if start in seen:
-            continue
-        verts = {start}
-        eids: set[int] = set()
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for eid in h.incident(v):
-                if eid in eids:
-                    continue
-                eids.add(eid)
-                for w in h.hyperedge(eid):
-                    if w not in seen:
-                        seen.add(w)
-                        verts.add(w)
-                        queue.append(w)
-        out.append(Component(frozenset(verts), tuple(sorted(eids))))
-    return tuple(out)
+    forest = _Forest()
+    for e in h.hyperedges:
+        forest.join(e)
+    verts: dict[int, list[int]] = {}
+    for v in sorted(h.vertices):
+        verts.setdefault(forest.find(v), []).append(v)
+    eids: dict[int, list[int]] = {root: [] for root in verts}
+    for eid, e in zip(h.hyperedge_ids, h.hyperedges):
+        if e:
+            eids[forest.find(next(iter(e)))].append(eid)
+    return tuple(Component(frozenset(verts[root]), tuple(eids[root])) for root in verts)
 
 
 def delete_vertices(h: Hypergraph, vertex_ids: Iterable[int]) -> Hypergraph:
@@ -247,7 +236,7 @@ class _Forest:
     def __init__(self) -> None:
         self._parent: dict[int, int] = {}
 
-    def _find(self, x: int) -> int:
+    def find(self, x: int) -> int:
         parent = self._parent
         root = parent.setdefault(x, x)
         while parent[root] != root:
@@ -257,18 +246,21 @@ class _Forest:
         return root
 
     def closes_cycle(self, e: Collection[int]) -> bool:
-        return len({self._find(v) for v in e}) < len(e)
+        return len({self.find(v) for v in e}) < len(e)
+
+    def join(self, vs: Iterable[int]) -> None:
+        """Join the vertices vs, whether or not that closes a cycle."""
+        roots = [self.find(v) for v in vs]
+        for r in roots[1:]:
+            self._parent[r] = roots[0]
 
     def link(self, e: Collection[int]) -> bool:
         """Join e's vertices and return True; return False, joining nothing,
         when e closes a cycle."""
-        roots = {self._find(v) for v in e}
+        roots = {self.find(v) for v in e}
         if len(roots) < len(e):
             return False
-        if roots:
-            target = roots.pop()
-            for r in roots:
-                self._parent[r] = target
+        self.join(roots)
         return True
 
 

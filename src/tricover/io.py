@@ -24,27 +24,15 @@ def _tokenized_lines(text: str) -> Iterable[tuple[int, list[str]]]:
         yield line_no, line.split()
 
 
-class _LabelMap:
-    def __init__(self) -> None:
-        self.labels: list[str] = []
-        self._ids: dict[str, int] = {}
-
-    def id_for(self, label: str) -> int:
-        if label not in self._ids:
-            self._ids[label] = len(self.labels)
-            self.labels.append(label)
-        return self._ids[label]
-
-
 def parse_graph(text: str) -> tuple[Graph, list[str]]:
     """Parse an edge-list file; returns the graph and the id -> label table."""
-    labels = _LabelMap()
+    ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for line_no, tokens in _tokenized_lines(text):
         if len(tokens) != 2:
             raise GraphFormatError(f"expected 2 labels, got {len(tokens)}", line_no)
-        u, v = (labels.id_for(t) for t in tokens)
+        u, v = (ids.setdefault(t, len(ids)) for t in tokens)
         if u == v:
             raise GraphFormatError(f"self-loop at {tokens[0]!r}", line_no)
         pair = (u, v) if u < v else (v, u)
@@ -52,7 +40,7 @@ def parse_graph(text: str) -> tuple[Graph, list[str]]:
             raise GraphFormatError(f"duplicate edge {tokens[0]!r} {tokens[1]!r}", line_no)
         seen.add(pair)
         edges.append(pair)
-    return Graph(len(labels.labels), edges), labels.labels
+    return Graph(len(ids), edges), list(ids)
 
 
 def parse_hypergraph(text: str) -> tuple[Hypergraph, list[str]]:
@@ -61,15 +49,15 @@ def parse_hypergraph(text: str) -> tuple[Hypergraph, list[str]]:
     Lines need at least 2 distinct labels. Uniformity requirements of
     individual commands are checked downstream, not here.
     """
-    labels = _LabelMap()
+    ids: dict[str, int] = {}
     hyperedges: list[list[int]] = []
     for line_no, tokens in _tokenized_lines(text):
         if len(tokens) < 2:
             raise GraphFormatError(f"expected at least 2 labels, got {len(tokens)}", line_no)
         if len(set(tokens)) != len(tokens):
             raise GraphFormatError("repeated label in hyperedge", line_no)
-        hyperedges.append([labels.id_for(t) for t in tokens])
-    return Hypergraph(range(len(labels.labels)), hyperedges), labels.labels
+        hyperedges.append([ids.setdefault(t, len(ids)) for t in tokens])
+    return Hypergraph(range(len(ids)), hyperedges), list(ids)
 
 
 def format_graph(g: Graph, labels: list[str] | None = None) -> str:

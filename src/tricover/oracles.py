@@ -61,24 +61,24 @@ def _check_size(count: int, budget: OracleBudget, what: str) -> None:
 def _max_disjoint(items: list[tuple[int, frozenset[int]]], search: _Search) -> list[int]:
     """Ids of a maximum pairwise-disjoint subfamily.
 
-    Branch on the first available item (include first); bound by the count of
-    still-available items and by the number of untouched elements they span
-    divided by the smallest item size.
+    Each search node carries its candidates, the ascending indices of the
+    undecided items disjoint from all chosen ones. Branch on the first
+    candidate (include first); bound by the candidate count and by the
+    number of elements the candidates span over the smallest item size.
     """
     best: list[int] = []
-    used: set[int] = set()
+    covered: set[int] = set()
     for iid, members in items:
-        if used.isdisjoint(members):
+        if covered.isdisjoint(members):
             best.append(iid)
-            used |= members
+            covered |= members
     min_size = min((len(m) for _, m in items if m), default=1)
 
     chosen: list[int] = []
 
-    def rec(start: int, used: frozenset[int]) -> None:
+    def rec(avail: list[int]) -> None:
         nonlocal best
         search.tick()
-        avail = [i for i in range(start, len(items)) if used.isdisjoint(items[i][1])]
         span: set[int] = set()
         empties = 0
         for i in avail:
@@ -93,14 +93,13 @@ def _max_disjoint(items: list[tuple[int, frozenset[int]]], search: _Search) -> l
             if len(chosen) > len(best):
                 best = chosen.copy()
             return
-        first = avail[0]
-        iid, members = items[first]
+        iid, members = items[avail[0]]
         chosen.append(iid)
-        rec(first + 1, used | members)
+        rec([i for i in avail[1:] if members.isdisjoint(items[i][1])])
         chosen.pop()
-        rec(first + 1, used)
+        rec(avail[1:])
 
-    rec(0, frozenset())
+    rec(list(range(len(items))))
     return sorted(best)
 
 

@@ -154,6 +154,38 @@ class TestComponents:
         assert comps[1].vertices == frozenset({3})
         assert comps[1].hyperedge_ids == ()
 
+    def test_empty_hyperedges_and_isolated_vertices(self):
+        h = Hypergraph(range(8), [(), (5, 1), (), (6, 2, 5), (3,), ()])
+        comps = components(h)
+        assert [(sorted(c.vertices), c.hyperedge_ids) for c in comps] == [
+            ([0], ()),
+            ([1, 2, 5, 6], (1, 3)),
+            ([3], (4,)),
+            ([4], ()),
+            ([7], ()),
+        ]
+
+    def test_matches_pairwise_merge_on_random_hypergraphs(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            edges = [rng.sample(range(n), min(n, rng.choice((0, 1, 2, 3, 3)))) for _ in range(rng.randint(0, 8))]
+            h = Hypergraph(range(n), edges)
+            # Reference: merge vertex classes until no hyperedge spans two.
+            cls = {v: {v} for v in range(n)}
+            for e in edges * len(edges):
+                for v in e[1:]:
+                    if cls[v] is not cls[e[0]]:
+                        merged = cls[v] | cls[e[0]]
+                        for w in merged:
+                            cls[w] = merged
+            expected = []
+            for v in range(n):
+                if min(cls[v]) == v:
+                    eids = tuple(i for i, e in enumerate(edges) if e and e[0] in cls[v])
+                    expected.append((frozenset(cls[v]), eids))
+            assert [(c.vertices, c.hyperedge_ids) for c in components(h)] == expected
+
     def test_deleting_one_hyperedge_adds_at_most_two_components(self):
         rng = random.Random(31)
         for _ in range(40):

@@ -140,6 +140,14 @@ class TestCoverCommand:
         code, _, err = run_cli(capsys, "cover", "/nonexistent/g.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["cover", "analyze", "fvs", "solve-acyclic"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00a b\n")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+
     def test_explain_includes_trace(self, capsys, k4_file):
         code, out, _ = run_cli(capsys, "cover", k4_file, "--strategy", "fvs", "--explain")
         payload = json.loads(out)
@@ -314,6 +322,14 @@ class TestRandomExperimentCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("trial,seed,edges")
         assert len(lines) == 3
+
+    def test_unwritable_csv_exits_3(self, capsys, tmp_path):
+        csv_path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(
+            capsys, "random-experiment", "--n", "5", "--p", "0.5", "--trials", "1", "--csv", str(csv_path),
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: cannot write {csv_path}: No such file or directory\n"
 
 
 class TestDeterminism:

@@ -147,6 +147,29 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             max_triangle_packing(complete_graph(6), budget)
 
+    # Explored node counts of the packing search, and the witnesses it
+    # returns, for instances whose search shape is pinned: max_nodes = N
+    # succeeds and N - 1 does not.
+    SEARCH_SHAPES = [
+        (lambda: complete_graph(7), 1,
+         [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]),
+        (lambda: complete_graph(9), 65,
+         [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (1, 3, 5), (1, 4, 7),
+          (1, 6, 8), (2, 3, 8), (2, 4, 6), (2, 5, 7), (3, 6, 7), (4, 5, 8)]),
+        (lambda: random_gnp(12, 0.6, seed=2), 463,
+         [(0, 3, 4), (0, 8, 11), (1, 2, 3), (1, 4, 9), (1, 8, 10),
+          (2, 5, 9), (2, 6, 8), (2, 10, 11), (3, 5, 6), (7, 9, 10)]),
+    ]
+
+    @pytest.mark.parametrize("make, nodes, witness", SEARCH_SHAPES, ids=["K7", "K9", "G12"])
+    def test_packing_search_shape_is_pinned(self, make, nodes, witness):
+        g = make()
+        nu, found = max_triangle_packing(g, OracleBudget(max_nodes=nodes))
+        assert nu == len(witness)
+        assert [t.vertices for t in found.triangles] == witness
+        with pytest.raises(BudgetExceededError):
+            max_triangle_packing(g, OracleBudget(max_nodes=nodes - 1))
+
     def test_budget_override_allows_larger_instances(self):
         h = triangle_hypergraph(complete_graph(5))  # 10 edges, 10 hyperedges
         nu, _ = max_matching(h, OracleBudget(max_edges=20))
