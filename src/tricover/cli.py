@@ -5,7 +5,8 @@ included), 3 precondition violation (any other TricoverError, an unwritable
 --csv path included), 4 budget exceeded. Any other exception, such as an
 InvariantError or a bare ValueError, is an internal bug rather than bad
 input and is not caught. Output is deterministic: identical inputs, flags, and
-seeds produce byte-identical JSON.
+seeds produce byte-identical JSON. A leading UTF-8 byte-order mark in an
+input file is ignored.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _frac(x: Fraction | None) -> str | None:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as ex:
         raise GraphFormatError(f"cannot read {path}: {ex.strerror}") from ex
@@ -202,6 +203,12 @@ def _cmd_solve_acyclic(args) -> int:
 
 def _cmd_random_experiment(args) -> int:
     spec = ExperimentSpec(n=args.n, p=args.p, trials=args.trials, seed=args.seed, estimator=args.estimator)
+    if args.csv:
+        try:
+            # Fail before the trials run, not after; append mode truncates nothing.
+            open(args.csv, "a").close()
+        except OSError as ex:
+            raise TricoverError(f"cannot write {args.csv}: {ex.strerror}") from ex
     result = run_experiment(spec)
     if args.csv:
         try:

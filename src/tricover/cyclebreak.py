@@ -14,6 +14,7 @@ Two engines:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Collection
 
@@ -68,15 +69,27 @@ class _WorkingState:
     non-isolated vertex to the ids of its surviving hyperedges. A vertex
     whose last hyperedge goes leaves incident, i.e. becomes isolated, which
     is all that deleting a vertex means to the rules.
+
+    certified holds the hyperedges on a cycle, each proved so by a found
+    cycle whose hyperedges all survive. Deleting hyperedges creates no cycle,
+    so only those certified by a cycle through a dropped hyperedge are
+    searched again; rule 2 drops only hyperedges that no found cycle holds.
     """
 
-    __slots__ = ("edges", "incident")
+    __slots__ = ("edges", "incident", "certified", "_uses", "_voided")
 
     def __init__(self, h: Hypergraph):
         self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
         self.incident = {v: set(h.incident(v)) for v in h.non_isolated_vertices()}
+        self.certified: set[int] = set()
+        self._uses: dict[int, list[list[int]]] = {}  # hyperedge -> what each cycle through it certifies
+        self._voided: list[int] | None = None  # None until off_cycle first runs
 
     def drop_edge(self, eid: int) -> None:
+        for certifies in self._uses.pop(eid, ()):
+            self.certified.difference_update(certifies)
+            self._voided += certifies
+            certifies.clear()
         for v in self.edges.pop(eid):
             eids = self.incident[v]
             eids.discard(eid)
@@ -86,6 +99,63 @@ class _WorkingState:
     def drop_vertex(self, v: int) -> None:
         for eid in list(self.incident[v]):
             self.drop_edge(eid)
+
+    def off_cycle(self) -> list[int]:
+        """The hyperedges found off-cycle since the last call: at the first,
+        one bridge search, a certificate for every on-cycle hyperedge, and all
+        the others; later, the voided ones that a new search finds on no cycle."""
+        if self._voided is None:
+            _, edges_on = _on_cycle(self.edges, self.incident)
+            for eid in edges_on:
+                if eid not in self.certified and not self._certify(eid):
+                    raise InvariantError(f"hyperedge {eid} lies on a cycle, but no cycle through it was found")
+            self._voided = []
+            return [eid for eid in self.edges if eid not in edges_on]
+        voided, self._voided = self._voided, []
+        return [g for g in voided if g in self.edges and g not in self.certified and not self._certify(g)]
+
+    def _certify(self, eid: int) -> bool:
+        """Find a cycle through eid, certifying its uncertified hyperedges,
+        or return False when there is none.
+
+        One BFS grows a region from each member of eid, with eid banned. A
+        hyperedge entered from one region that holds a vertex of another
+        closes a cycle with eid. A region with nothing left to expand has
+        entered all hyperedges at its vertices, so no other can meet it: the
+        search fails when fewer than two regions can still expand.
+        """
+        edges, incident, certified = self.edges, self.incident, self.certified
+        members = list(edges[eid])
+        reached = {v: (r, None) for r, v in enumerate(members)}  # vertex -> (region, hyperedge reached by)
+        entered = {eid: None}  # hyperedge -> vertex it was entered from
+        queued = [1] * len(members)  # queued vertices per region
+        queue = deque(members)
+        while queued.count(0) < len(members) - 1:
+            x = queue.popleft()
+            r = reached[x][0]
+            for f in incident[x]:
+                if f in entered:
+                    continue
+                entered[f] = x
+                for w in edges[f]:
+                    s = reached.get(w)
+                    if s is None:
+                        reached[w] = (r, f)
+                        queue.append(w)
+                        queued[r] += 1
+                    elif s[0] != r:
+                        cycle = [eid, f]
+                        for end in (x, w):
+                            while (g := reached[end][1]) is not None:
+                                cycle.append(g)
+                                end = entered[g]
+                        certifies = [g for g in cycle if g not in certified]
+                        certified.update(certifies)
+                        for g in cycle:
+                            self._uses.setdefault(g, []).append(certifies)
+                        return True
+            queued[r] -= 1
+        return False
 
 
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
@@ -125,24 +195,24 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """feedback_vertex_set without its precondition checks, for callers that
     already know h is 3-uniform and linear (triangle hypergraphs always are).
 
-    The rules act on one working copy, deleting in place. Each loop computes
-    cycle membership once and sweeps rule 2 with it, off-cycle vertices then
-    hyperedges in ascending order, while more than two hyperedges remain:
-    an off-cycle vertex has only off-cycle hyperedges, so dropping it or an
-    off-cycle hyperedge destroys no cycle and creates none. One of rules 3
-    to 5 follows; it deletes on-cycle hyperedges, so the next loop computes
-    membership again.
+    The rules act on one working copy, deleting in place. Each loop sweeps
+    rule 2 with the elements found off-cycle, vertices then hyperedges in
+    ascending order, while more than two hyperedges remain: dropping them
+    destroys no cycle and creates none. One of rules 3 to 5 follows.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
     while len(state.edges) > 2:
-        verts_on, edges_on = _on_cycle(state.edges, state.incident)
-        for v in sorted(v for v in state.incident if v not in verts_on):
+        off_edges = state.off_cycle()
+        # The previous loop swept every off-cycle element, so a vertex off a
+        # cycle now belongs to a hyperedge found off-cycle now.
+        off_verts = {v for e in off_edges for v in state.edges[e] if state.certified.isdisjoint(state.incident[v])}
+        for v in sorted(off_verts):
             if v in state.incident and len(state.edges) > 2:
                 trace.append(("drop_off_cycle_vertex", (v,)))
                 state.drop_vertex(v)
-        for eid in sorted(e for e in state.edges if e not in edges_on):
+        for eid in sorted(off_edges):
             if eid in state.edges and len(state.edges) > 2:
                 trace.append(("drop_off_cycle_hyperedge", (eid,)))
                 state.drop_edge(eid)

@@ -112,19 +112,26 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
-    """All triangles of g, each exactly once, ordered by sorted vertex triple.
+def _triangle_scan(g: Graph) -> list[tuple[int, int, int, int, int, int]]:
+    """(u, v, w, uv, uw, vw) for every triangle u < v < w of g, each exactly
+    once, ordered by vertex triple.
 
     Scans each edge (u, v) with u < v and keeps only common neighbors w > v,
     so every triangle is reported from its lexicographically smallest edge.
     For u < v < w the ids of uv, uw and vw already ascend, as pairs do.
     """
-    out: list[Triangle] = []
-    for uv, (u, v) in enumerate(g.edges):
-        for w in sorted(g.neighbors(u) & g.neighbors(v)):
-            if w > v:
-                out.append(Triangle((u, v, w), (uv, g._edge_index[u, w], g._edge_index[v, w])))
-    return tuple(out)
+    index = g._edge_index
+    return [
+        (u, v, w, uv, index[u, w], index[v, w])
+        for uv, (u, v) in enumerate(g.edges)
+        for w in sorted(g.neighbors(u) & g.neighbors(v))
+        if w > v
+    ]
+
+
+def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
+    """All triangles of g, each exactly once, ordered by sorted vertex triple."""
+    return tuple([Triangle((u, v, w), (uv, uw, vw)) for u, v, w, uv, uw, vw in _triangle_scan(g)])
 
 
 def irreducible_subgraph(g: Graph) -> Graph:

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Collection, Iterable, Mapping
 
 from .errors import InvariantError, NotLinearError
-from .graph import Graph, enumerate_triangles
+from .graph import Graph, _triangle_scan
 
 
 class Hypergraph:
@@ -170,12 +170,13 @@ def is_k_uniform(h: Hypergraph, k: int) -> bool:
 
 def triangle_hypergraph(g: Graph) -> Hypergraph:
     """The hypergraph whose vertices are g's edge ids and whose hyperedges are
-    the edge-id triples of g's triangles.
+    the edge-id triples of g's triangles, hyperedge i being the i-th
+    triangle of enumerate_triangles(g).
 
     Always 3-uniform and linear: two triangles of a simple graph share at most
     one edge. Edges of g lying in no triangle become isolated vertices.
     """
-    return Hypergraph(range(g.num_edges), (t.edge_ids for t in enumerate_triangles(g)))
+    return Hypergraph(range(g.num_edges), [(uv, uw, vw) for _, _, _, uv, uw, vw in _triangle_scan(g)])
 
 
 @dataclass(frozen=True)

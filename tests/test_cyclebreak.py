@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -20,7 +23,9 @@ from tricover import (
     random_gnp,
     triangle_hypergraph,
 )
-from tricover.cyclebreak import is_minimal_fes
+import tricover.cyclebreak
+from tricover.cyclebreak import _WorkingState, is_minimal_fes
+from tricover.hypergraph import _on_cycle
 
 import reference_fvs
 from generators import (
@@ -187,6 +192,105 @@ class TestAgainstReference:
         h = Hypergraph(range(8), [(0, 1), (1, 2, 3), (0, 3), (3, 4), (5,), (6, 7, 0), ()])
         assert on_cycle_elements(h) == reference_fvs.on_cycle_elements(h)
         assert on_cycle_elements(h) == (frozenset({0, 1, 2, 3}), frozenset({0, 1, 2}))
+
+
+def pendant_cycles() -> list[Hypergraph]:
+    """Hyperedge k-cycles with one degree-1 vertex per hyperedge, alone and
+    in pairs joined by a connector through two of those vertices: rule 4
+    inputs."""
+    out = []
+    for k in range(3, 12):
+        cycle = [(i, (i + 1) % k, k + i) for i in range(k)]
+        out.append(Hypergraph(range(2 * k), cycle))
+        twin = [tuple(v + 2 * k for v in e) for e in cycle]
+        out.append(Hypergraph(range(4 * k + 1), cycle + twin + [(k, 3 * k, 4 * k)]))
+    return out
+
+
+class TestCycleCertificates:
+    """The certificates must report exactly the bridge search's membership
+    after any sequence of deletions, and FVS must run that search once."""
+
+    @staticmethod
+    def drive(h: Hypergraph, rng: random.Random) -> int:
+        state = _WorkingState(h)
+        reported: set[int] = set()
+        steps = 0
+        while state.edges:
+            reported.update(state.off_cycle())
+            verts_on, edges_on = _on_cycle(state.edges, state.incident)
+            assert state.certified == edges_on
+            assert {v for e in state.certified for v in state.edges[e]} == verts_on
+            # Every off-cycle hyperedge left was reported off once, and no
+            # reported one came back on a cycle.
+            assert reported & state.edges.keys() == state.edges.keys() - edges_on
+            for _ in range(rng.randint(1, 3)):
+                if not state.edges:
+                    break
+                if rng.random() < 0.4:
+                    state.drop_vertex(rng.choice(sorted(state.incident)))
+                else:
+                    state.drop_edge(rng.choice(sorted(state.edges)))
+            steps += 1
+        return steps
+
+    @pytest.mark.parametrize(
+        "corpus",
+        ["mixed_linear", "bridged_blocks", "cubic_duals", "pendant_cycles", "gnp"],
+    )
+    def test_membership_matches_bridge_search_after_every_step(self, corpus):
+        rng = random.Random(f"certificates/{corpus}")
+        suites = {
+            "mixed_linear": lambda: mixed_linear_corpus(seed=91, count=120, max_hyperedges=60),
+            "bridged_blocks": lambda: [random_bridged_blocks(rng, rng.randint(3, 9)) for _ in range(40)]
+            + [bridged_blocks()],
+            "cubic_duals": lambda: random_cubic_duals(seed=92, count=40) + two_regular_fixtures(),
+            "pendant_cycles": pendant_cycles,
+            "gnp": lambda: [
+                triangle_hypergraph(random_gnp(rng.randint(6, 14), rng.uniform(0.3, 0.95), rng.randrange(1 << 30)))
+                for _ in range(40)
+            ],
+        }
+        steps = sum(self.drive(h, rng) for h in suites[corpus]())
+        assert steps >= 80
+
+    def test_one_bridge_search_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(edges, incident):
+            calls.append(len(edges))
+            return _on_cycle(edges, incident)
+
+        monkeypatch.setattr(tricover.cyclebreak, "_on_cycle", counted)
+        multi_step = 0
+        for h in fvs_suite() + pendant_cycles():
+            calls.clear()
+            trace = feedback_vertex_set(h).trace
+            assert calls == ([h.num_hyperedges] if h.num_hyperedges >= 3 else [])
+            # Runs with two or more of rules 3 to 5 would have searched again.
+            multi_step += sum(not rule.startswith(("drop_off_cycle", "base")) for rule, _ in trace) >= 2
+        assert multi_step >= 50
+
+    def test_failed_seed_certificate_raises_under_optimize(self):
+        # A bridge search that reports every element of an acyclic path on a
+        # cycle leaves certificates that no search can find. -O strips
+        # asserts, so this shows the check does not rest on one.
+        code = (
+            "import sys\n"
+            "import tricover.cyclebreak as cb\n"
+            "from tricover import Hypergraph, InvariantError\n"
+            "cb._on_cycle = lambda edges, incident: (set(incident), set(edges))\n"
+            "try:\n"
+            "    cb.feedback_vertex_set(Hypergraph(range(7), [(0, 1, 2), (2, 3, 4), (4, 5, 6)]))\n"
+            "except InvariantError as ex:\n"
+            "    print(sys.flags.optimize, ex)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        assert out.startswith("1 hyperedge ") and "no cycle through it" in out
 
 
 class TestMinimalFes:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,19 @@ class TestHypergraphBasics:
         h = triangle_hypergraph(random_gnp(n, p, seed))
         assert is_linear(h) and is_k_uniform(h, 3)
         assert is_linear_pairwise(h)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(n=st.integers(3, 14), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    def test_triangle_hypergraph_ids_follow_triangle_order(self, n, p, seed):
+        # Hyperedge i is the i-th triangle, checked against a brute-force
+        # triple scan rather than the shared edge scan.
+        g = random_gnp(n, p, seed)
+        h = triangle_hypergraph(g)
+        triangles = [t for t in combinations(range(n), 3) if all(g.has_edge(a, b) for a, b in combinations(t, 2))]
+        assert h.hyperedge_ids == tuple(range(len(triangles)))
+        assert h.vertices == frozenset(range(g.num_edges))
+        for eid, t in enumerate(triangles):
+            assert h.hyperedge(eid) == frozenset(g.edge_id(a, b) for a, b in combinations(t, 2))
 
     @settings(max_examples=200, derandomize=True)
     @given(edges=st.lists(st.frozensets(st.integers(0, 7), max_size=4), max_size=8))

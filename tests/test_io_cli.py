@@ -148,6 +148,15 @@ class TestCoverCommand:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read {path}: ")
 
+    def test_byte_order_mark_is_not_part_of_a_label(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xef\xbb\xbfa b\nb c\na c\n")
+        code, out, _ = run_cli(capsys, "cover", str(path))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["num_vertices"] == 3 and payload["cover_size"] == 1
+        assert {lab for pair in payload["cover"] for lab in pair} <= {"a", "b", "c"}
+
     def test_explain_includes_trace(self, capsys, k4_file):
         code, out, _ = run_cli(capsys, "cover", k4_file, "--strategy", "fvs", "--explain")
         payload = json.loads(out)
@@ -201,6 +210,16 @@ class TestHypergraphCommands:
         assert payload["fvs_size"] <= 2
         assert payload["bound_holds"] is True
         assert payload["residual_acyclic"] is True
+
+    def test_byte_order_mark_is_not_part_of_a_label(self, capsys, tmp_path):
+        # The 3-cycle a..c..e..a: read with the mark, the first "a" would be
+        # another vertex and the cycle would be gone.
+        path = tmp_path / "h.txt"
+        path.write_bytes(b"\xef\xbb\xbfa b c\nc d e\ne f a\n")
+        code, out, _ = run_cli(capsys, "fvs", str(path))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["num_vertices"] == 6 and payload["fvs_size"] == 1
 
     def test_fvs_rejects_non_uniform(self, capsys, tmp_path):
         path = tmp_path / "h.txt"
@@ -327,6 +346,18 @@ class TestRandomExperimentCommand:
         csv_path = tmp_path / "missing" / "out.csv"
         code, out, err = run_cli(
             capsys, "random-experiment", "--n", "5", "--p", "0.5", "--trials", "1", "--csv", str(csv_path),
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: cannot write {csv_path}: No such file or directory\n"
+
+    def test_unwritable_csv_fails_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        def no_trials(spec):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(tricover.cli, "run_experiment", no_trials)
+        csv_path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(
+            capsys, "random-experiment", "--n", "49", "--p", "0.95", "--trials", "40", "--csv", str(csv_path),
         )
         assert code == 3 and out == ""
         assert err == f"error: cannot write {csv_path}: No such file or directory\n"
