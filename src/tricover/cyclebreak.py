@@ -70,26 +70,34 @@ class _WorkingState:
     whose last hyperedge goes leaves incident, i.e. becomes isolated, which
     is all that deleting a vertex means to the rules.
 
-    certified holds the hyperedges on a cycle, each proved so by a found
-    cycle whose hyperedges all survive. Deleting hyperedges creates no cycle,
-    so only those certified by a cycle through a dropped hyperedge are
-    searched again; rule 2 drops only hyperedges that no found cycle holds.
+    Every cycle a search closes is kept whole, as the list of its hyperedge
+    ids, while all of them survive: live counts, per hyperedge, the kept
+    cycles through it, and certified is a view of the hyperedges that have
+    one. Deleting hyperedges creates no cycle, so dropping one kills only
+    the cycles through it, and only a hyperedge left with no live cycle is
+    searched again; rule 2 drops only those the search fails.
     """
 
-    __slots__ = ("edges", "incident", "certified", "_uses", "_voided")
+    __slots__ = ("edges", "incident", "live", "certified", "_through", "_voided")
 
     def __init__(self, h: Hypergraph):
         self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
         self.incident = {v: set(h.incident(v)) for v in h.non_isolated_vertices()}
-        self.certified: set[int] = set()
-        self._uses: dict[int, list[list[int]]] = {}  # hyperedge -> what each cycle through it certifies
+        self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
+        self.certified = self.live.keys()
+        self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
         self._voided: list[int] | None = None  # None until off_cycle first runs
 
     def drop_edge(self, eid: int) -> None:
-        for certifies in self._uses.pop(eid, ()):
-            self.certified.difference_update(certifies)
-            self._voided += certifies
-            certifies.clear()
+        live = self.live
+        for cycle in self._through.pop(eid):
+            for g in cycle:
+                if live[g] == 1:
+                    del live[g]
+                    self._voided.append(g)
+                else:
+                    live[g] -= 1
+            cycle.clear()
         for v in self.edges.pop(eid):
             eids = self.incident[v]
             eids.discard(eid)
@@ -107,54 +115,62 @@ class _WorkingState:
         if self._voided is None:
             _, edges_on = _on_cycle(self.edges, self.incident)
             for eid in edges_on:
-                if eid not in self.certified and not self._certify(eid):
+                if eid not in self.live and not self._certify(eid):
                     raise InvariantError(f"hyperedge {eid} lies on a cycle, but no cycle through it was found")
             self._voided = []
             return [eid for eid in self.edges if eid not in edges_on]
         voided, self._voided = self._voided, []
-        return [g for g in voided if g in self.edges and g not in self.certified and not self._certify(g)]
+        return [g for g in voided if g in self.edges and g not in self.live and not self._certify(g)]
 
     def _certify(self, eid: int) -> bool:
-        """Find a cycle through eid, certifying its uncertified hyperedges,
-        or return False when there is none.
+        """Find and keep cycles through eid, or return False when there is none.
 
         One BFS grows a region from each member of eid, with eid banned. A
-        hyperedge entered from one region that holds a vertex of another
-        closes a cycle with eid. A region with nothing left to expand has
-        entered all hyperedges at its vertices, so no other can meet it: the
-        search fails when fewer than two regions can still expand.
+        hyperedge f entered from vertex x of one region that holds a vertex
+        w of another closes a cycle with eid: the region paths to x and w
+        lie in different BFS trees, and f was entered only now. The search
+        finishes the expansion of the first such x and keeps every cycle
+        closed there. A region with nothing left to expand has entered all
+        hyperedges at its vertices, so no other can meet it: the search
+        fails when fewer than two regions can still expand.
         """
-        edges, incident, certified = self.edges, self.incident, self.certified
+        edges, incident, live, through = self.edges, self.incident, self.live, self._through
         members = list(edges[eid])
-        reached = {v: (r, None) for r, v in enumerate(members)}  # vertex -> (region, hyperedge reached by)
+        region = {v: r for r, v in enumerate(members)}
+        via = dict.fromkeys(members)  # vertex -> hyperedge it was reached by
         entered = {eid: None}  # hyperedge -> vertex it was entered from
         queued = [1] * len(members)  # queued vertices per region
+        expanding = len(members)  # regions with a queued vertex
         queue = deque(members)
-        while queued.count(0) < len(members) - 1:
+        closed = False
+        while expanding > 1:
             x = queue.popleft()
-            r = reached[x][0]
+            r = region[x]
             for f in incident[x]:
                 if f in entered:
                     continue
                 entered[f] = x
                 for w in edges[f]:
-                    s = reached.get(w)
+                    s = region.get(w)
                     if s is None:
-                        reached[w] = (r, f)
+                        region[w] = r
+                        via[w] = f
                         queue.append(w)
                         queued[r] += 1
-                    elif s[0] != r:
+                    elif s != r:
                         cycle = [eid, f]
                         for end in (x, w):
-                            while (g := reached[end][1]) is not None:
+                            while (g := via[end]) is not None:
                                 cycle.append(g)
                                 end = entered[g]
-                        certifies = [g for g in cycle if g not in certified]
-                        certified.update(certifies)
                         for g in cycle:
-                            self._uses.setdefault(g, []).append(certifies)
-                        return True
+                            live[g] = live.get(g, 0) + 1
+                            through[g].append(cycle)
+                        closed = True
+            if closed:
+                return True
             queued[r] -= 1
+            expanding -= not queued[r]
         return False
 
 
@@ -203,6 +219,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
+    by_label, cursor = sorted(state.incident), 0  # rule 3 takes the least vertex of degree >= 3
     while len(state.edges) > 2:
         off_edges = state.off_cycle()
         # The previous loop swept every off-cycle element, so a vertex off a
@@ -219,8 +236,11 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         if len(state.edges) <= 2:
             break
 
-        high = min((v for v, eids in state.incident.items() if len(eids) >= 3), default=None)
-        if high is not None:
+        # Degrees only fall, so a vertex the cursor passed never reaches 3 again.
+        while cursor < len(by_label) and len(state.incident.get(by_label[cursor], ())) < 3:
+            cursor += 1
+        if cursor < len(by_label):
+            high = by_label[cursor]
             removed.add(high)
             trace.append(("take_high_degree_vertex", (high,)))
             state.drop_vertex(high)

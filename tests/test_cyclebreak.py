@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -212,9 +213,29 @@ class TestCycleCertificates:
     after any sequence of deletions, and FVS must run that search once."""
 
     @staticmethod
-    def drive(h: Hypergraph, rng: random.Random) -> int:
+    def live_cycles(state: _WorkingState) -> list[list[int]]:
+        """The kept cycles that no drop has killed, each once."""
+        return list({id(c): c for cycles in state._through.values() for c in cycles if c}.values())
+
+    @classmethod
+    def check_cycles(cls, state: _WorkingState, valid: set[tuple[int, ...]]) -> None:
+        cycles = cls.live_cycles(state)
+        # Each count is the number of live kept cycles through its hyperedge.
+        assert state.live == Counter(g for c in cycles for g in c)
+        for c in cycles:
+            assert state.edges.keys() >= set(c)
+            if tuple(c) not in valid:
+                # On the sub-hypergraph of its hyperedges alone, the reference
+                # bridge search must put every one of them on a cycle.
+                sub = Hypergraph(set().union(*(state.edges[g] for g in c)), [state.edges[g] for g in c])
+                assert len(set(c)) == len(c) == len(reference_fvs.on_cycle_elements(sub)[1])
+                valid.add(tuple(c))
+
+    @classmethod
+    def drive(cls, h: Hypergraph, rng: random.Random) -> int:
         state = _WorkingState(h)
         reported: set[int] = set()
+        valid: set[tuple[int, ...]] = set()
         steps = 0
         while state.edges:
             reported.update(state.off_cycle())
@@ -224,6 +245,7 @@ class TestCycleCertificates:
             # Every off-cycle hyperedge left was reported off once, and no
             # reported one came back on a cycle.
             assert reported & state.edges.keys() == state.edges.keys() - edges_on
+            cls.check_cycles(state, valid)
             for _ in range(rng.randint(1, 3)):
                 if not state.edges:
                     break
@@ -231,6 +253,7 @@ class TestCycleCertificates:
                     state.drop_vertex(rng.choice(sorted(state.incident)))
                 else:
                     state.drop_edge(rng.choice(sorted(state.edges)))
+            cls.check_cycles(state, valid)
             steps += 1
         return steps
 
@@ -253,6 +276,34 @@ class TestCycleCertificates:
         }
         steps = sum(self.drive(h, rng) for h in suites[corpus]())
         assert steps >= 80
+
+    def test_search_again_only_where_the_last_live_cycle_died(self, monkeypatch):
+        searched: list[int] = []
+        certify = _WorkingState._certify
+        monkeypatch.setattr(_WorkingState, "_certify", lambda state, eid: searched.append(eid) or certify(state, eid))
+        rng = random.Random("certificates/respared")
+        spared = 0
+        for h in mixed_linear_corpus(seed=93, count=60, max_hyperedges=60) + [
+            triangle_hypergraph(random_gnp(rng.randint(8, 14), rng.uniform(0.5, 0.95), rng.randrange(1 << 30)))
+            for _ in range(20)
+        ]:
+            state = _WorkingState(h)
+            state.off_cycle()
+            while state.edges:
+                f = rng.choice(sorted(state.edges))
+                cycles = self.live_cycles(state)
+                hit = {g for c in cycles if f in c for g in c} - {f}
+                # Left with no live cycle: every live cycle through g runs through f.
+                orphaned = {g for g in hit if all(f in c for c in cycles if g in c)}
+                spared += len(hit - orphaned)
+                state.drop_edge(f)
+                searched.clear()
+                state.off_cycle()
+                assert len(set(searched)) == len(searched) and orphaned >= set(searched)
+                # One not searched was certified again by a cycle another search closed.
+                assert state.live.keys() >= orphaned - set(searched)
+        # Hyperedges on a killed cycle that another live cycle kept certified.
+        assert spared >= 1000
 
     def test_one_bridge_search_per_run(self, monkeypatch):
         calls = []
