@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .acyclic import solve_acyclic
 from .cover import (
+    STRATEGY_ORDER,
     CoverCertificate,
     best_cover,
     condition_report,
@@ -91,7 +92,7 @@ def _cmd_cover(args) -> int:
         "valid": cover_is_valid(g, cert.cover),
     }
     if cert.strategy_sizes is not None:
-        payload["strategy_sizes"] = {k: cert.strategy_sizes[k] for k in ("fvs", "fes", "bipartite")}
+        payload["strategy_sizes"] = {k: cert.strategy_sizes[k] for k in STRATEGY_ORDER}
     if args.explain:
         explain: dict = {
             "breaker_edges": _edge_labels(g, labels, cert.breaker),
@@ -125,7 +126,7 @@ def _cmd_analyze(args) -> int:
         "nu_exact": report.nu_exact,
         "nu_upper": report.nu_upper,
         "nu_upper_note": "min cover size; bounds the packing number via packing <= cover",
-        "cover_sizes": {k: report.cover_sizes[k] for k in ("fvs", "fes", "bipartite")},
+        "cover_sizes": {k: report.cover_sizes[k] for k in STRATEGY_ORDER},
         "ratios": {k: _frac(v) for k, v in report.ratios.items()},
         "conditions": {"i": report.cond_i, "ii": report.cond_ii, "iii": report.cond_iii},
     }
@@ -248,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="compute a certified triangle cover of a graph")
     p.add_argument("graph_file")
-    p.add_argument("--strategy", choices=("fvs", "fes", "bipartite", "best"), default="best")
+    p.add_argument("--strategy", choices=(*STRATEGY_ORDER, "best"), default="best")
     p.add_argument("--explain", action="store_true", help="include the cycle-breaking audit trail")
     p.set_defaults(func=_cmd_cover)
 

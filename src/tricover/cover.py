@@ -30,7 +30,7 @@ from typing import Mapping
 from .acyclic import DualPair, solve_acyclic
 from .cyclebreak import _feedback_vertex_set, minimal_fes
 from .errors import IsolatedVertexError, NotLinearError, NotThreeUniformError
-from .graph import Graph, bipartite_cut_cover
+from .graph import Graph, _first_fit, bipartite_cut_cover
 from .hypergraph import (
     Hypergraph,
     delete_hyperedges,
@@ -159,18 +159,8 @@ def best_cover(g: Graph) -> CoverCertificate:
         "bipartite": cover_via_bipartite(g),
     }
     sizes = {name: certs[name].size for name in STRATEGY_ORDER}
-    winner = min(STRATEGY_ORDER, key=lambda name: (sizes[name], STRATEGY_ORDER.index(name)))
+    winner = min(STRATEGY_ORDER, key=lambda name: sizes[name])
     return dataclasses.replace(certs[winner], strategy_sizes=dict(sizes))
-
-
-def _greedy_matching_size(h: Hypergraph) -> int:
-    used: set[int] = set()
-    count = 0
-    for e in h.hyperedges:
-        if used.isdisjoint(e):
-            count += 1
-            used |= e
-    return count
 
 
 def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
@@ -194,7 +184,7 @@ def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
         raise IsolatedVertexError(f"isolated vertices not allowed: {sorted(isolated)}")
 
     m = h.num_hyperedges
-    if 3 * _greedy_matching_size(h) >= m:
+    if 3 * len(_first_fit(h.hyperedges)) >= m:
         cond_i = "true"
     elif m <= HYPERGRAPH_BUDGET.max_edges:
         nu, _ = max_matching(h)
@@ -248,7 +238,7 @@ def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
     # Hyperedge ids follow the canonical triangle order, so these equal the
     # irreducible subgraph's edge count and the greedy packing's size.
     num_e_irr = len(h.non_isolated_vertices())
-    nu_lower = _greedy_matching_size(h)
+    nu_lower = len(_first_fit(h.hyperedges))
     nu_exact: int | None = None
     if use_oracle:
         nu_exact, _ = max_triangle_packing(g)

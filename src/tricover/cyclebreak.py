@@ -23,7 +23,6 @@ from .hypergraph import (
     Hypergraph,
     _bfs_path,
     _Forest,
-    _on_cycle,
     _shortest_cycle,
     components,
     is_k_uniform,
@@ -73,9 +72,10 @@ class _WorkingState:
     Every cycle a search closes is kept whole, as the list of its hyperedge
     ids, while all of them survive: live counts, per hyperedge, the kept
     cycles through it, and certified is a view of the hyperedges that have
-    one. Deleting hyperedges creates no cycle, so dropping one kills only
-    the cycles through it, and only a hyperedge left with no live cycle is
-    searched again; rule 2 drops only those the search fails.
+    one. Every hyperedge starts voided, to be searched by the first
+    off_cycle. Deleting hyperedges creates no cycle, so dropping one kills
+    only the cycles through it, and only a hyperedge left with no live cycle
+    is voided again; rule 2 drops only those the search fails.
     """
 
     __slots__ = ("edges", "incident", "live", "certified", "_through", "_voided")
@@ -86,7 +86,7 @@ class _WorkingState:
         self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
         self.certified = self.live.keys()
         self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
-        self._voided: list[int] | None = None  # None until off_cycle first runs
+        self._voided = list(self.edges)  # hyperedges to search at the next off_cycle
 
     def drop_edge(self, eid: int) -> None:
         live = self.live
@@ -109,16 +109,8 @@ class _WorkingState:
             self.drop_edge(eid)
 
     def off_cycle(self) -> list[int]:
-        """The hyperedges found off-cycle since the last call: at the first,
-        one bridge search, a certificate for every on-cycle hyperedge, and all
-        the others; later, the voided ones that a new search finds on no cycle."""
-        if self._voided is None:
-            _, edges_on = _on_cycle(self.edges, self.incident)
-            for eid in edges_on:
-                if eid not in self.live and not self._certify(eid):
-                    raise InvariantError(f"hyperedge {eid} lies on a cycle, but no cycle through it was found")
-            self._voided = []
-            return [eid for eid in self.edges if eid not in edges_on]
+        """The surviving voided hyperedges that no live cycle certifies and a
+        new search finds on no cycle, each reported once."""
         voided, self._voided = self._voided, []
         return [g for g in voided if g in self.edges and g not in self.live and not self._certify(g)]
 
@@ -198,7 +190,9 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
            the cycle hyperedges plus f1.
 
     Every rule removes at least three hyperedges per taken vertex, which gives
-    the floor(m/3) bound.
+    the floor(m/3) bound. Rule 2 searches for a cycle through a hyperedge
+    only when no cycle found earlier still runs through it. A result that
+    leaves a cycle raises InvariantError instead of being returned.
     """
     if not is_k_uniform(h, 3):
         raise NotThreeUniformError("feedback_vertex_set requires a 3-uniform hypergraph")
@@ -214,7 +208,9 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     The rules act on one working copy, deleting in place. Each loop sweeps
     rule 2 with the elements found off-cycle, vertices then hyperedges in
     ascending order, while more than two hyperedges remain: dropping them
-    destroys no cycle and creates none. One of rules 3 to 5 follows.
+    destroys no cycle and creates none. One of rules 3 to 5 follows. One
+    union-find pass over the hyperedges the removed vertices miss checks
+    the result.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
@@ -324,6 +320,9 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             state.drop_edge(eid)
 
     trace.append(("base", ()))
+    forest = _Forest()
+    if not all(forest.link(e) for e in h.hyperedges if removed.isdisjoint(e)):
+        raise InvariantError("the removed vertices leave a cycle")
     return FvsResult(frozenset(removed), tuple(trace))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,18 @@ def bipartite_cut_cover(g: Graph) -> frozenset[int]:
     return frozenset(i for i, (u, v) in enumerate(g.edges) if side[u] == side[v])
 
 
+def _first_fit(sets: Iterable[Collection[int]]) -> list[int]:
+    """Positions of the sets one first-fit pass keeps: each set that is
+    disjoint from every set kept before it."""
+    used: set[int] = set()
+    kept = []
+    for i, s in enumerate(sets):
+        if used.isdisjoint(s):
+            kept.append(i)
+            used.update(s)
+    return kept
+
+
 def extend_packing(g: Graph, base: Sequence[Triangle]) -> PackingWitness:
     """Greedily extend an edge-disjoint triangle set to a maximal one.
 
@@ -200,13 +212,7 @@ def greedy_triangle_packing(g: Graph, seed: int | None = None) -> PackingWitness
         return extend_packing(g, ())
     tris = list(enumerate_triangles(g))
     random.Random(seed).shuffle(tris)
-    chosen: list[Triangle] = []
-    used: set[int] = set()
-    for t in tris:
-        if used.isdisjoint(t.edge_ids):
-            chosen.append(t)
-            used.update(t.edge_ids)
-    return PackingWitness(tuple(chosen))
+    return PackingWitness(tuple(tris[i] for i in _first_fit(t.edge_ids for t in tris)))
 
 
 def complete_graph(n: int) -> Graph:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError, InvariantError
-from .graph import Graph, PackingWitness, Triangle, complete_graph, enumerate_triangles
+from .graph import Graph, PackingWitness, Triangle, _first_fit, complete_graph, enumerate_triangles
 from .hypergraph import Hypergraph, delete_hyperedges, delete_vertices, is_acyclic, on_cycle_elements
 
 
@@ -66,12 +66,7 @@ def _max_disjoint(items: list[tuple[int, frozenset[int]]], search: _Search) -> l
     candidate (include first); bound by the candidate count and by the
     number of elements the candidates span over the smallest item size.
     """
-    best: list[int] = []
-    covered: set[int] = set()
-    for iid, members in items:
-        if covered.isdisjoint(members):
-            best.append(iid)
-            covered |= members
+    best = [items[i][0] for i in _first_fit(members for _, members in items)]
     min_size = min((len(m) for _, m in items if m), default=1)
 
     chosen: list[int] = []
@@ -127,15 +122,6 @@ def _min_hitting_set(items: list[tuple[int, frozenset[int]]], search: _Search) -
         unhit = [i for i in unhit if pick not in items[i][1]]
     best = sorted(incumbent)
 
-    def disjoint_lower_bound(unhit_idx: list[int]) -> int:
-        used: set[int] = set()
-        count = 0
-        for i in unhit_idx:
-            if used.isdisjoint(items[i][1]):
-                count += 1
-                used |= items[i][1]
-        return count
-
     chosen: list[int] = []
 
     def rec(unhit_idx: list[int]) -> None:
@@ -145,7 +131,7 @@ def _min_hitting_set(items: list[tuple[int, frozenset[int]]], search: _Search) -
             if len(chosen) < len(best):
                 best = sorted(chosen)
             return
-        if len(chosen) + disjoint_lower_bound(unhit_idx) >= len(best):
+        if len(chosen) + len(_first_fit(items[i][1] for i in unhit_idx)) >= len(best):
             return
         target = items[unhit_idx[0]][1]
         for v in sorted(target):

@@ -32,7 +32,7 @@ from tricover import (
     random_gnp,
     triangle_hypergraph,
 )
-from tricover.cover import _greedy_matching_size
+from tricover.graph import _first_fit
 from tricover.graph import _triangle_scan
 
 from generators import book_graph, small_graph_corpus, two_regular_fixtures
@@ -322,7 +322,7 @@ class TestOnePipeline:
         # condition_report reads both graph counts off the triangle hypergraph.
         g = random_gnp(n, p, seed)
         h = triangle_hypergraph(g)
-        assert _greedy_matching_size(h) == len(greedy_triangle_packing(g))
+        assert len(_first_fit(h.hyperedges)) == len(greedy_triangle_packing(g))
         assert len(h.non_isolated_vertices()) == irreducible_subgraph(g).num_edges
 
     @settings(max_examples=40, derandomize=True, deadline=None)

@@ -210,7 +210,7 @@ def pendant_cycles() -> list[Hypergraph]:
 
 class TestCycleCertificates:
     """The certificates must report exactly the bridge search's membership
-    after any sequence of deletions, and FVS must run that search once."""
+    after any sequence of deletions, and FVS must check its own output."""
 
     @staticmethod
     def live_cycles(state: _WorkingState) -> list[list[int]]:
@@ -305,43 +305,52 @@ class TestCycleCertificates:
         # Hyperedges on a killed cycle that another live cycle kept certified.
         assert spared >= 1000
 
-    def test_one_bridge_search_per_run(self, monkeypatch):
-        calls = []
-
-        def counted(edges, incident):
-            calls.append(len(edges))
-            return _on_cycle(edges, incident)
-
-        monkeypatch.setattr(tricover.cyclebreak, "_on_cycle", counted)
-        multi_step = 0
+    def test_first_call_searches_each_uncertified_hyperedge_once(self, monkeypatch):
+        searched: list[tuple[int, bool]] = []
+        certify = _WorkingState._certify
+        monkeypatch.setattr(
+            _WorkingState,
+            "_certify",
+            lambda state, eid: searched.append((eid, eid in state.live)) or certify(state, eid),
+        )
+        unsearched = 0
         for h in fvs_suite() + pendant_cycles():
-            calls.clear()
-            trace = feedback_vertex_set(h).trace
-            assert calls == ([h.num_hyperedges] if h.num_hyperedges >= 3 else [])
-            # Runs with two or more of rules 3 to 5 would have searched again.
-            multi_step += sum(not rule.startswith(("drop_off_cycle", "base")) for rule, _ in trace) >= 2
-        assert multi_step >= 50
+            searched.clear()
+            state = _WorkingState(h)
+            state.off_cycle()
+            ids = [eid for eid, _ in searched]
+            assert len(set(ids)) == len(ids)
+            # No search starts for a hyperedge an earlier search certified.
+            assert not any(was_certified for _, was_certified in searched)
+            skipped = state.edges.keys() - set(ids)
+            assert state.live.keys() >= skipped
+            unsearched += len(skipped)
+        # Hyperedges certified by a cycle another search closed.
+        assert unsearched >= 500
 
-    def test_failed_seed_certificate_raises_under_optimize(self):
-        # A bridge search that reports every element of an acyclic path on a
-        # cycle leaves certificates that no search can find. -O strips
-        # asserts, so this shows the check does not rest on one.
+    def test_output_check_raises_under_optimize(self):
+        # With every search failing, rule 2 strips hyperedges that lie on a
+        # cycle and FVS takes nothing, so only the output check stops the
+        # cyclic residual. -O strips asserts, so this shows the check does
+        # not rest on one; the fvs route must fail there too, before
+        # solve_acyclic reports the residual as bad input.
         code = (
             "import sys\n"
             "import tricover.cyclebreak as cb\n"
-            "from tricover import Hypergraph, InvariantError\n"
-            "cb._on_cycle = lambda edges, incident: (set(incident), set(edges))\n"
-            "try:\n"
-            "    cb.feedback_vertex_set(Hypergraph(range(7), [(0, 1, 2), (2, 3, 4), (4, 5, 6)]))\n"
-            "except InvariantError as ex:\n"
-            "    print(sys.flags.optimize, ex)\n"
+            "from tricover import InvariantError, complete_graph, cover_via_fvs, fano_plane\n"
+            "cb._WorkingState._certify = lambda state, eid: False\n"
+            "for run in (lambda: cb.feedback_vertex_set(fano_plane()), lambda: cover_via_fvs(complete_graph(6))):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except InvariantError as ex:\n"
+            "        print(sys.flags.optimize, ex)\n"
         )
         src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
         ).stdout
-        assert out.startswith("1 hyperedge ") and "no cycle through it" in out
+        assert out.splitlines() == ["1 the removed vertices leave a cycle"] * 2
 
 
 class TestMinimalFes:
