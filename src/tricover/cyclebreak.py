@@ -5,7 +5,8 @@ Two engines:
 * `feedback_vertex_set` removes at most floor(m/3) vertices from an m-edge
   linear 3-uniform hypergraph and leaves it acyclic. It recurses on one of
   five rules, tried in a fixed priority order, each charging at least three
-  deleted hyperedges per removed vertex.
+  deleted hyperedges per removed vertex. The rules mutate one
+  `hypergraph._WorkingState`, whose peel and cycle searches decide rule 2.
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
@@ -14,7 +15,6 @@ Two engines:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Collection
 
@@ -24,6 +24,7 @@ from .hypergraph import (
     _bfs_path,
     _Forest,
     _shortest_cycle,
+    _WorkingState,
     components,
     is_k_uniform,
     is_linear,
@@ -61,111 +62,6 @@ class FesResult:
     removed_hyperedges: frozenset[int]
 
 
-class _WorkingState:
-    """The hypergraph the FVS rules act on, mutated in place.
-
-    edges maps each surviving hyperedge id to its members; incident maps each
-    non-isolated vertex to the ids of its surviving hyperedges. A vertex
-    whose last hyperedge goes leaves incident, i.e. becomes isolated, which
-    is all that deleting a vertex means to the rules.
-
-    Every cycle a search closes is kept whole, as the list of its hyperedge
-    ids, while all of them survive: live counts, per hyperedge, the kept
-    cycles through it, and certified is a view of the hyperedges that have
-    one. Every hyperedge starts voided, to be searched by the first
-    off_cycle. Deleting hyperedges creates no cycle, so dropping one kills
-    only the cycles through it, and only a hyperedge left with no live cycle
-    is voided again; rule 2 drops only those the search fails.
-    """
-
-    __slots__ = ("edges", "incident", "live", "certified", "_through", "_voided")
-
-    def __init__(self, h: Hypergraph):
-        self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
-        self.incident = {v: set(h.incident(v)) for v in h.non_isolated_vertices()}
-        self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
-        self.certified = self.live.keys()
-        self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
-        self._voided = list(self.edges)  # hyperedges to search at the next off_cycle
-
-    def drop_edge(self, eid: int) -> None:
-        live = self.live
-        for cycle in self._through.pop(eid):
-            for g in cycle:
-                if live[g] == 1:
-                    del live[g]
-                    self._voided.append(g)
-                else:
-                    live[g] -= 1
-            cycle.clear()
-        for v in self.edges.pop(eid):
-            eids = self.incident[v]
-            eids.discard(eid)
-            if not eids:
-                del self.incident[v]
-
-    def drop_vertex(self, v: int) -> None:
-        for eid in list(self.incident[v]):
-            self.drop_edge(eid)
-
-    def off_cycle(self) -> list[int]:
-        """The surviving voided hyperedges that no live cycle certifies and a
-        new search finds on no cycle, each reported once."""
-        voided, self._voided = self._voided, []
-        return [g for g in voided if g in self.edges and g not in self.live and not self._certify(g)]
-
-    def _certify(self, eid: int) -> bool:
-        """Find and keep cycles through eid, or return False when there is none.
-
-        One BFS grows a region from each member of eid, with eid banned. A
-        hyperedge f entered from vertex x of one region that holds a vertex
-        w of another closes a cycle with eid: the region paths to x and w
-        lie in different BFS trees, and f was entered only now. The search
-        finishes the expansion of the first such x and keeps every cycle
-        closed there. A region with nothing left to expand has entered all
-        hyperedges at its vertices, so no other can meet it: the search
-        fails when fewer than two regions can still expand.
-        """
-        edges, incident, live, through = self.edges, self.incident, self.live, self._through
-        members = list(edges[eid])
-        region = {v: r for r, v in enumerate(members)}
-        via = dict.fromkeys(members)  # vertex -> hyperedge it was reached by
-        entered = {eid: None}  # hyperedge -> vertex it was entered from
-        queued = [1] * len(members)  # queued vertices per region
-        expanding = len(members)  # regions with a queued vertex
-        queue = deque(members)
-        closed = False
-        while expanding > 1:
-            x = queue.popleft()
-            r = region[x]
-            for f in incident[x]:
-                if f in entered:
-                    continue
-                entered[f] = x
-                for w in edges[f]:
-                    s = region.get(w)
-                    if s is None:
-                        region[w] = r
-                        via[w] = f
-                        queue.append(w)
-                        queued[r] += 1
-                    elif s != r:
-                        cycle = [eid, f]
-                        for end in (x, w):
-                            while (g := via[end]) is not None:
-                                cycle.append(g)
-                                end = entered[g]
-                        for g in cycle:
-                            live[g] = live.get(g, 0) + 1
-                            through[g].append(cycle)
-                        closed = True
-            if closed:
-                return True
-            queued[r] -= 1
-            expanding -= not queued[r]
-        return False
-
-
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """Feedback vertex set of a linear 3-uniform hypergraph, size <= floor(m/3).
 
@@ -191,8 +87,8 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
 
     Every rule removes at least three hyperedges per taken vertex, which gives
     the floor(m/3) bound. Rule 2 searches for a cycle through a hyperedge
-    only when no cycle found earlier still runs through it. A result that
-    leaves a cycle raises InvariantError instead of being returned.
+    only when the 2-core peel kept it and no cycle found earlier still runs
+    through it. A result that leaves a cycle raises InvariantError.
     """
     if not is_k_uniform(h, 3):
         raise NotThreeUniformError("feedback_vertex_set requires a 3-uniform hypergraph")

@@ -19,8 +19,9 @@ The incidence graph (bipartite, vertices on one side and hyperedges on the
 other, adjacency = membership) drives all cycle searches: hypergraph cycles of
 length k correspond exactly to incidence cycles of length 2k. The searches
 read it from two mappings, hyperedge id -> members and non-isolated vertex ->
-incident hyperedge ids, which a Hypergraph holds and which the
-feedback-vertex-set engine mutates in place.
+incident hyperedge ids. `_WorkingState` holds a copy that the FVS engine
+mutates in place, and has the one cycle-membership search: a peel to the
+2-core, then a BFS for a cycle through each hyperedge the peel leaves.
 """
 
 from __future__ import annotations
@@ -271,72 +272,143 @@ def is_acyclic(h: Hypergraph) -> bool:
     return all(forest.link(e) for e in h.hyperedges)
 
 
-def _on_cycle(
-    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]
-) -> tuple[set[int], set[int]]:
-    """(vertices, hyperedge ids) on at least one cycle, from hyperedge id ->
-    members and non-isolated vertex -> incident hyperedge ids.
+class _WorkingState:
+    """A hypergraph mutated in place, with the one cycle-membership search.
 
-    Tarjan's lowpoint bridge search over the incidence graph, iterative. A
-    hyperedge lies on a cycle exactly when one of its incidence edges is not
-    a bridge; a vertex lies on a cycle exactly when one of its hyperedges
-    does (cycles are sub-hypergraphs spanning all vertices of their
-    hyperedges). Each bridge is found once, when the DFS leaves its child
-    end, and is counted at its hyperedge end; a hyperedge is on a cycle when
-    it has fewer bridges than members.
+    edges maps each surviving hyperedge id to its members; incident maps each
+    non-isolated vertex to the ids of its surviving hyperedges. A vertex
+    leaves incident with its last hyperedge: deleting it means no more.
+
+    The constructor peels the incidence graph to its 2-core once: a hyperedge
+    with at most one member left in another unpeeled one is on no cycle. The
+    first off_cycle reports the peeled hyperedges and searches the rest. A
+    cycle a search closes is kept whole, as its hyperedge ids: live counts,
+    per hyperedge, the kept cycles through it that survive, and certified is
+    a view of the hyperedges that have one. Deleting hyperedges creates no
+    cycle, so dropping one kills only the cycles through it, and only a
+    hyperedge left with no live cycle is voided, to be searched again.
     """
 
-    disc: dict[int, int] = {}
-    bridges_at: dict[int, int] = {}
-    timer = 0
-    for root in incident:
-        # Incidence nodes are ints: vertex v -> 2v, hyperedge e -> 2e+1, which
-        # keeps the two id spaces apart. A node's lowpoint is only needed
-        # while it is on the stack, so it lives in the node's stack frame:
-        # [node, parent, unexplored neighbors, lowpoint, discovery time].
-        rn = root << 1
-        if rn in disc:
-            continue
-        disc[rn] = timer
-        stack = [[rn, None, iter([(e << 1) | 1 for e in incident[root]]), timer, timer]]
-        timer += 1
+    __slots__ = ("edges", "incident", "live", "certified", "_through", "_voided", "_peeled")
+
+    def __init__(self, h: Hypergraph):
+        self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
+        self.incident = {v: set(h.incident(v)) for v in h.non_isolated_vertices()}
+        self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
+        self.certified = self.live.keys()
+        self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
+        self._voided = list(self.edges)  # hyperedges to search at the next off_cycle
+        # degree: per vertex, its hyperedges not yet popped off the stack;
+        # shared: per unpeeled hyperedge, its members of degree 2 or more.
+        degree = {v: len(eids) for v, eids in self.incident.items()}
+        shared = {eid: len(e) for eid, e in self.edges.items()}
+        for (f,) in (eids for eids in self.incident.values() if len(eids) == 1):
+            shared[f] -= 1
+        peeled = self._peeled = {eid for eid, n in shared.items() if n < 2}
+        stack = list(peeled)
         while stack:
-            frame = stack[-1]
-            node, par, rest = frame[0], frame[1], frame[2]
-            for nxt in rest:
-                if nxt == par:
+            for v in self.edges[stack.pop()]:
+                degree[v] -= 1
+                if degree[v] == 1:
+                    for f in self.incident[v] - peeled:
+                        shared[f] -= 1
+                        if shared[f] < 2:
+                            peeled.add(f)
+                            stack.append(f)
+
+    def drop_edge(self, eid: int) -> None:
+        live = self.live
+        for cycle in self._through.pop(eid):
+            for g in cycle:
+                if live[g] == 1:
+                    del live[g]
+                    self._voided.append(g)
+                else:
+                    live[g] -= 1
+            cycle.clear()
+        for v in self.edges.pop(eid):
+            eids = self.incident[v]
+            eids.discard(eid)
+            if not eids:
+                del self.incident[v]
+
+    def drop_vertex(self, v: int) -> None:
+        for eid in list(self.incident[v]):
+            self.drop_edge(eid)
+
+    def off_cycle(self) -> list[int]:
+        """The surviving voided hyperedges that no live cycle certifies and
+        that were peeled or a new search finds on no cycle, each reported
+        once."""
+        voided, self._voided = self._voided, []
+        edges, live, peeled = self.edges, self.live, self._peeled
+        return [g for g in voided if g in edges and g not in live and (g in peeled or not self._certify(g))]
+
+    def _certify(self, eid: int) -> bool:
+        """Find and keep cycles through eid, or return False when there is none.
+
+        One BFS grows a region from each member of eid, with eid banned. A
+        hyperedge f entered from vertex x of one region that holds a vertex
+        w of another closes a cycle with eid: the region paths to x and w
+        lie in different BFS trees, and f was entered only now. The search
+        finishes the expansion of the first such x and keeps every cycle
+        closed there. A region with nothing left to expand has entered all
+        hyperedges at its vertices, so no other can meet it: the search
+        fails when fewer than two regions can still expand.
+        """
+        edges, incident, live, through = self.edges, self.incident, self.live, self._through
+        members = list(edges[eid])
+        region = {v: r for r, v in enumerate(members)}
+        via = dict.fromkeys(members)  # vertex -> hyperedge it was reached by
+        entered = {eid: None}  # hyperedge -> vertex it was entered from
+        queued = [1] * len(members)  # queued vertices per region
+        expanding = len(members)  # regions with a queued vertex
+        queue = deque(members)
+        closed = False
+        while expanding > 1:
+            x = queue.popleft()
+            r = region[x]
+            for f in incident[x]:
+                if f in entered:
                     continue
-                d = disc.get(nxt)
-                if d is None:
-                    disc[nxt] = timer
-                    if nxt & 1:
-                        ns = [v << 1 for v in edges[nxt >> 1]]
-                    else:
-                        ns = [(e << 1) | 1 for e in incident[nxt >> 1]]
-                    stack.append([nxt, node, iter(ns), timer, timer])
-                    timer += 1
-                    break
-                if d < frame[3]:
-                    frame[3] = d
-            else:
-                stack.pop()
-                if stack:
-                    up = stack[-1]
-                    lo = frame[3]
-                    if lo < up[3]:
-                        up[3] = lo
-                    if lo > up[4]:
-                        en = node if node & 1 else par
-                        bridges_at[en] = bridges_at.get(en, 0) + 1
-    cyc_edges = {e for e, members in edges.items() if bridges_at.get((e << 1) | 1, 0) < len(members)}
-    cyc_verts = {v for e in cyc_edges for v in edges[e]}
-    return cyc_verts, cyc_edges
+                entered[f] = x
+                for w in edges[f]:
+                    s = region.get(w)
+                    if s is None:
+                        region[w] = r
+                        via[w] = f
+                        queue.append(w)
+                        queued[r] += 1
+                    elif s != r:
+                        cycle = [eid, f]
+                        for end in (x, w):
+                            while (g := via[end]) is not None:
+                                cycle.append(g)
+                                end = entered[g]
+                        for g in cycle:
+                            live[g] = live.get(g, 0) + 1
+                            through[g].append(cycle)
+                        closed = True
+            if closed:
+                return True
+            queued[r] -= 1
+            expanding -= not queued[r]
+        return False
 
 
 def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
-    """(vertices, hyperedge ids) lying on at least one cycle of h."""
-    cyc_verts, cyc_edges = _on_cycle(h._edges, h._incident)
-    return frozenset(cyc_verts), frozenset(cyc_edges)
+    """(vertices, hyperedge ids) lying on at least one cycle of h.
+
+    The first off_cycle of a fresh _WorkingState: a linear-time peel, then a
+    BFS per unpeeled hyperedge that no kept cycle runs through; one that
+    fails may walk its whole component. Seed 1, Python 3.11, 2 vCPUs: 86 ms
+    at G(49, 0.95), 12 ms at G(49, 0.5); at m = 4,000, 10 ms on a hypertree
+    and 115 ms on a linear 3-uniform one with 1.3 vertices per hyperedge.
+    """
+    state = _WorkingState(h)
+    state.off_cycle()
+    edges_on = frozenset(state.certified)
+    return frozenset(v for e in edges_on for v in state.edges[e]), edges_on
 
 
 def _bfs_path(

@@ -181,11 +181,11 @@ def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tu
     """Exact minimum set of on-cycle vertices (or hyperedges) whose deletion
     leaves h acyclic: the first hit of an ordered subset search by size."""
     _check_size(h.num_hyperedges, budget, "hypergraph")
-    if is_acyclic(h):
-        return 0, frozenset()
     search = _Search(budget)
     verts_on, edges_on = on_cycle_elements(h)
     candidates = sorted(verts_on if vertices else edges_on)
+    if not candidates:
+        return 0, frozenset()
     delete = delete_vertices if vertices else delete_hyperedges
     for k in range(1, len(candidates) + 1):
         for combo in combinations(candidates, k):

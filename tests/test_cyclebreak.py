@@ -25,8 +25,7 @@ from tricover import (
     triangle_hypergraph,
 )
 import tricover.cyclebreak
-from tricover.cyclebreak import _WorkingState, is_minimal_fes
-from tricover.hypergraph import _on_cycle
+from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, is_minimal_fes
 
 import reference_fvs
 from generators import (
@@ -36,6 +35,7 @@ from generators import (
     random_bridged_blocks,
     random_cubic_duals,
     random_graph_hypergraphs,
+    random_hypertree,
     random_linear_3_uniform,
     two_regular_fixtures,
 )
@@ -183,6 +183,10 @@ class TestAgainstReference:
         rng = random.Random(80)
         suite = fvs_suite() + [random_linear_3_uniform(rng, rng.randint(4, 40), rng.randint(0, 30)) for _ in range(60)]
         suite += [random_acyclic_forest(rng, rng.randint(1, 10), isolated=2) for _ in range(10)]
+        # Non-uniform and non-linear: hyperedges of 0 to 4 members, repeats allowed.
+        for n in (rng.randint(1, 10) for _ in range(300)):
+            edges = [rng.sample(range(n), rng.randint(0, min(4, n))) for _ in range(rng.randint(0, 14))]
+            suite.append(Hypergraph(range(n), edges))
         for h in suite:
             reference = reference_fvs.on_cycle_elements(h)
             assert on_cycle_elements(h) == reference
@@ -239,8 +243,11 @@ class TestCycleCertificates:
         steps = 0
         while state.edges:
             reported.update(state.off_cycle())
-            verts_on, edges_on = _on_cycle(state.edges, state.incident)
+            current = Hypergraph._from_parts(frozenset(state.incident), state.edges)
+            verts_on, edges_on = reference_fvs.on_cycle_elements(current)
             assert state.certified == edges_on
+            # The 2-core peel takes off only hyperedges on no cycle.
+            assert state._peeled.isdisjoint(edges_on)
             assert {v for e in state.certified for v in state.edges[e]} == verts_on
             # Every off-cycle hyperedge left was reported off once, and no
             # reported one came back on a cycle.
@@ -322,11 +329,23 @@ class TestCycleCertificates:
             assert len(set(ids)) == len(ids)
             # No search starts for a hyperedge an earlier search certified.
             assert not any(was_certified for _, was_certified in searched)
-            skipped = state.edges.keys() - set(ids)
+            # The 2-core peel's hyperedges are neither searched nor certified.
+            assert state._peeled.isdisjoint(ids) and state._peeled.isdisjoint(state.live)
+            skipped = state.edges.keys() - set(ids) - state._peeled
             assert state.live.keys() >= skipped
             unsearched += len(skipped)
         # Hyperedges certified by a cycle another search closed.
         assert unsearched >= 500
+
+    def test_acyclic_input_is_peeled_without_a_search(self, monkeypatch):
+        searched: list[int] = []
+        certify = _WorkingState._certify
+        monkeypatch.setattr(_WorkingState, "_certify", lambda state, eid: searched.append(eid) or certify(state, eid))
+        rng = random.Random("certificates/peel")
+        for m in (1, 2, 3, 10, 100, 500, 2000):
+            for h in (random_hypertree(rng, m), random_acyclic_forest(rng, m, isolated=3)):
+                assert not _feedback_vertex_set(h).removed_vertices
+                assert searched == []
 
     def test_output_check_raises_under_optimize(self):
         # With every search failing, rule 2 strips hyperedges that lie on a
