@@ -50,6 +50,10 @@ def _cases() -> dict[str, list[str]]:
         "random-experiment", "--n", "13", "--p", "0.6", "--trials", "3", "--seed", "2",
         "--estimator", "steiner-seeded", "--csv", "{csv}",
     ]
+    # The paper's own experiment scale, G(49, 0.95).
+    g49 = ["random-experiment", "--n", "49", "--p", "0.95", "--trials", "3", "--seed", "1", "--csv", "{csv}"]
+    cases["experiment-g49-greedy"] = g49
+    cases["experiment-g49-steiner"] = g49 + ["--estimator", "steiner-seeded"]
     return cases
 
 
