@@ -152,15 +152,22 @@ def bipartite_cut_cover(g: Graph) -> frozenset[int]:
     vertex has at least half its incident edges cut, so the cut has >= |E|/2
     edges and the returned uncut set has at most floor(|E|/2). Any triangle
     has two vertices on one side, hence an uncut edge in the returned set.
+
+    same[v] counts v's neighbours on v's own side and is kept up to date as
+    vertices move, so checking a vertex costs O(1) and a move O(deg).
     """
+    adj = g._adj
     side = [0] * g.n
+    same = [len(nbrs) for nbrs in adj]
     moved = True
     while moved:
         moved = False
         for v in range(g.n):
-            same = sum(1 for w in g.neighbors(v) if side[w] == side[v])
-            if 2 * same > g.degree(v):
-                side[v] ^= 1
+            if 2 * same[v] > len(adj[v]):
+                s = side[v] = side[v] ^ 1
+                same[v] = len(adj[v]) - same[v]
+                for w in adj[v]:
+                    same[w] += 1 if side[w] == s else -1
                 moved = True
     return frozenset(i for i, (u, v) in enumerate(g.edges) if side[u] == side[v])
 
@@ -184,20 +191,28 @@ def extend_packing(g: Graph, base: Sequence[Triangle]) -> PackingWitness:
     id order, so the scan takes the first free triangle on each unused edge
     (a triangle taken on uv uses uv up). Raises ValueError if the base set
     is not edge-disjoint or not made of triangles of g.
+
+    Bit w of free[v] is set while edge vw exists and is unused, so the least
+    free w > v on edge uv is the lowest set bit of free[u] & free[v] above v.
+    These masks take n bits per vertex and live only for this call.
     """
     chosen = list(base)
     PackingWitness(tuple(chosen)).validate(g)
-    used = {e for t in chosen for e in t.edge_ids}
+    free = [sum(1 << w for w in nbrs) for nbrs in g._adj]
+    for a, b, c in (t.vertices for t in chosen):
+        taken = ~(1 << a | 1 << b | 1 << c)
+        for x in (a, b, c):
+            free[x] &= taken
     for uv, (u, v) in enumerate(g.edges):
-        if uv in used:
+        if not free[u] >> v & 1:
             continue
-        for w in sorted(g.neighbors(u) & g.neighbors(v)):
-            if w > v:
-                uw, vw = g._edge_index[u, w], g._edge_index[v, w]
-                if uw not in used and vw not in used:
-                    chosen.append(Triangle((u, v, w), (uv, uw, vw)))
-                    used.update((uv, uw, vw))
-                    break
+        common = (free[u] & free[v]) >> (v + 1)
+        if common:
+            w = v + (common & -common).bit_length()
+            chosen.append(Triangle((u, v, w), (uv, g._edge_index[u, w], g._edge_index[v, w])))
+            taken = ~(1 << u | 1 << v | 1 << w)
+            for x in (u, v, w):
+                free[x] &= taken
     return PackingWitness(tuple(chosen))
 
 

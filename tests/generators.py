@@ -69,7 +69,8 @@ def hypergraph_from_cubic(n: int, cubic_edges: list[tuple[int, int]]) -> Hypergr
     and its cycles correspond to the graph's cycles, so girth carries over.
     """
     g = Graph(n, cubic_edges)
-    assert all(g.degree(v) == 3 for v in range(n))
+    if not all(g.degree(v) == 3 for v in range(n)):
+        raise AssertionError("the graph is not 3-regular")
     return Hypergraph(range(g.num_edges), ([g.edge_id(v, w) for w in sorted(g.neighbors(v))] for v in range(n)))
 
 

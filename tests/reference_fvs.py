@@ -322,7 +322,8 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
         if pendant is not None:
             e1 = cur.incident(pendant)[0]
             cyc = _cycle_through_edge(cur, _incidence_adj(cur), e1)
-            assert cyc is not None  # rule 2 left every hyperedge on a cycle
+            if cyc is None:
+                raise AssertionError(f"hyperedge {e1} lies on no cycle after rule 2")
             vs, es = _rotate_edge_first(cyc, e1)
             v3 = vs[2]
             removed.add(v3)
@@ -332,21 +333,24 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
 
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
         cyc = shortest_cycle(cur)
-        assert cyc is not None
+        if cyc is None:
+            raise AssertionError("the 2-regular remainder has no cycle")
         vs, es = list(cyc.vertices), list(cyc.hyperedge_ids)
         k = len(es)
 
         def third(i: int) -> int:
             spine = {vs[i], vs[(i + 1) % k]}
             rest = cur.hyperedge(es[i]) - spine
-            assert len(rest) == 1
+            if len(rest) != 1:
+                raise AssertionError(f"hyperedge {es[i]} has {len(rest)} vertices off the cycle spine")
             return next(iter(rest))
 
         us = [third(i) for i in range(k)]
 
         def other_edge(u: int, ei: int) -> int:
             rest = [f for f in cur.incident(u) if f != ei]
-            assert len(rest) == 1 and rest[0] not in es
+            if not (len(rest) == 1 and rest[0] not in es):
+                raise AssertionError(f"vertex {u} has no single hyperedge off the cycle besides {ei}")
             return rest[0]
 
         fs = [other_edge(us[i], es[i]) for i in range(k)]
@@ -372,7 +376,8 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
             else:
                 # f1 = f3 and f2 = f4 force a 4-cycle through u1, u3, so the
                 # shortest cycle itself has length exactly 4.
-                assert k == 4
+                if k != 4:
+                    raise AssertionError(f"paired detours on a cycle of length {k}, not 4")
                 take = [us[1], us[3]]
                 removed.update(take)
                 trace.append(("break_cycle_len_4_paired_detours", (k, *take)))

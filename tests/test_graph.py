@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tricover import (
     Graph,
@@ -52,6 +52,34 @@ def reference_extend_packing(g: Graph, base) -> PackingWitness:
             chosen.append(t)
             used.update(t.edge_ids)
     return PackingWitness(tuple(chosen))
+
+
+def reference_bipartite_cut_cover(g: Graph) -> frozenset[int]:
+    """The cut search before running side counts: every check recounts the
+    vertex's neighbours on its own side."""
+    side = [0] * g.n
+    moved = True
+    while moved:
+        moved = False
+        for v in range(g.n):
+            same = sum(1 for w in g.neighbors(v) if side[w] == side[v])
+            if 2 * same > g.degree(v):
+                side[v] ^= 1
+                moved = True
+    return frozenset(i for i, (u, v) in enumerate(g.edges) if side[u] == side[v])
+
+
+def random_disjoint_base(g: Graph, rng: random.Random, keep: float) -> list[Triangle]:
+    """An edge-disjoint set of triangles of g, in random order."""
+    tris = [reference_triangle(g, *abc) for abc in sorted(brute_triangles(g))]
+    rng.shuffle(tris)
+    base: list[Triangle] = []
+    used: set[int] = set()
+    for t in tris:
+        if rng.random() < keep and used.isdisjoint(t.edge_ids):
+            base.append(t)
+            used.update(t.edge_ids)
+    return base
 
 
 def is_bipartite(g: Graph, skip_edges: frozenset[int]) -> bool:
@@ -212,6 +240,12 @@ class TestBipartiteCutCover:
             assert len(cover) <= g.num_edges // 2
             assert is_bipartite(g, cover)
 
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 70), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    def test_running_counts_match_full_recount(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        assert bipartite_cut_cover(g) == reference_bipartite_cut_cover(g)
+
 
 class TestGreedyPacking:
     def test_triangle_free_empty(self):
@@ -264,20 +298,28 @@ class TestEdgeDrivenPacking:
         greedy = extend_packing(g, ())
         assert greedy == reference_extend_packing(g, ())
         assert greedy_triangle_packing(g) == greedy
-        # A random edge-disjoint base, in random order.
-        rng = random.Random(base_seed)
-        tris = [reference_triangle(g, *abc) for abc in sorted(brute_triangles(g))]
-        rng.shuffle(tris)
-        base: list[Triangle] = []
-        used: set[int] = set()
-        for t in tris:
-            if rng.random() < keep and used.isdisjoint(t.edge_ids):
-                base.append(t)
-                used.update(t.edge_ids)
+        base = random_disjoint_base(g, random.Random(base_seed), keep)
+        assert extend_packing(g, base) == reference_extend_packing(g, base)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @example(n=49, p=0.95, seed=1, base_seed=2, keep=0.5)
+    @example(n=70, p=1.0, seed=1, base_seed=3, keep=0.3)
+    @given(
+        n=st.integers(15, 70),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10**6),
+        base_seed=st.integers(0, 10**6),
+        keep=st.floats(0.0, 1.0),
+    )
+    def test_matches_reference_past_one_word(self, n, p, seed, base_seed, keep):
+        # Free-edge masks of up to 70 bits span more than one machine word.
+        g = random_gnp(n, p, seed)
+        assert extend_packing(g, ()) == reference_extend_packing(g, ())
+        base = random_disjoint_base(g, random.Random(base_seed), keep)
         assert extend_packing(g, base) == reference_extend_packing(g, base)
 
     @settings(max_examples=90, derandomize=True, deadline=None)
-    @given(n=st.sampled_from([7, 9, 13]), p=st.floats(0.5, 1.0), seed=st.integers(0, 10**6))
+    @given(n=st.sampled_from([7, 9, 13, 49]), p=st.floats(0.5, 1.0), seed=st.integers(0, 10**6))
     def test_steiner_survivors_base(self, n, p, seed):
         g = random_gnp(n, p, seed)
         alive = brute_triangles(g)
