@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cover import cover_via_bipartite
 from .errors import ExperimentSpecError
-from .graph import Triangle, extend_packing, greedy_triangle_packing, random_gnp
+from .graph import _surviving_triangles, extend_packing, greedy_triangle_packing, random_gnp
 from .oracles import steiner_triple_system
 
 ESTIMATORS = ("greedy", "steiner-seeded")
@@ -92,26 +92,16 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    base_triples: list[tuple[int, int, int]] = []
-    if spec.estimator == "steiner-seeded":
-        base_triples = [t.vertices for t in steiner_triple_system(spec.n).triangles]
+    steiner = spec.estimator == "steiner-seeded"
+    # Steiner triples are sorted, a < b < c, so each survivor's edge ids ascend.
+    base_triples = [t.vertices for t in steiner_triple_system(spec.n).triangles] if steiner else []
 
     records = []
     for i in range(spec.trials):
         trial_seed = spec.seed + i
         g = random_gnp(spec.n, spec.p, trial_seed)
-
-        survivors: int | None = None
-        if spec.estimator == "steiner-seeded":
-            alive = []
-            for a, b, c in base_triples:
-                if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
-                    # Steiner triples are sorted, a < b < c, so these ids ascend.
-                    alive.append(Triangle((a, b, c), (g.edge_id(a, b), g.edge_id(a, c), g.edge_id(b, c))))
-            survivors = len(alive)
-            packing = extend_packing(g, alive)
-        else:
-            packing = greedy_triangle_packing(g)
+        alive = _surviving_triangles(g, base_triples)
+        packing = extend_packing(g, alive) if steiner else greedy_triangle_packing(g)
 
         cover = cover_via_bipartite(g).cover
         m = g.num_edges
@@ -120,7 +110,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 index=i,
                 seed=trial_seed,
                 num_edges=m,
-                steiner_survivors=survivors,
+                steiner_survivors=len(alive) if steiner else None,
                 packing_lower=len(packing),
                 cover_size=len(cover),
                 packing_over_edges=len(packing) / m if m > 0 else None,

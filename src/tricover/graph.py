@@ -189,17 +189,24 @@ def extend_packing(g: Graph, base: Sequence[Triangle]) -> PackingWitness:
 
     Candidates are taken in canonical triangle order: by smallest edge, in
     id order, so the scan takes the first free triangle on each unused edge
-    (a triangle taken on uv uses uv up). Raises ValueError if the base set
-    is not edge-disjoint or not made of triangles of g.
+    (a triangle taken on uv uses uv up).
 
     Bit w of free[v] is set while edge vw exists and is unused, so the least
     free w > v on edge uv is the lowest set bit of free[u] & free[v] above v.
-    These masks take n bits per vertex and live only for this call.
+    These masks take n bits per vertex and live only for this call. The loop
+    that clears the base's edges checks each base triangle: its sorted triple
+    a < b < c must give ids (ab, ac, bc), one index lookup each, on edges still
+    free. Only a failure there runs PackingWitness.validate, which raises
+    ValueError on a base that is not edge-disjoint triangles of g.
     """
     chosen = list(base)
-    PackingWitness(tuple(chosen)).validate(g)
+    get = g._edge_index.get
     free = [sum(1 << w for w in nbrs) for nbrs in g._adj]
-    for a, b, c in (t.vertices for t in chosen):
+    for t in chosen:
+        a, b, c = sorted(t.vertices)
+        ids = (get((a, b)), get((a, c)), get((b, c)))
+        if ids != t.edge_ids or not free[a] >> b & free[a] >> c & free[b] >> c & 1:
+            PackingWitness(tuple(chosen)).validate(g)
         taken = ~(1 << a | 1 << b | 1 << c)
         for x in (a, b, c):
             free[x] &= taken
@@ -214,6 +221,13 @@ def extend_packing(g: Graph, base: Sequence[Triangle]) -> PackingWitness:
             for x in (u, v, w):
                 free[x] &= taken
     return PackingWitness(tuple(chosen))
+
+
+def _surviving_triangles(g: Graph, triples: Iterable[tuple[int, int, int]]) -> list[Triangle]:
+    """Triangles of g among sorted triples t = (a, b, c), with one index lookup
+    per edge: t[:2] is ab, t[::2] is ac and t[1:] is bc."""
+    get = g._edge_index.get
+    return [Triangle(t, ids) for t in triples if None not in (ids := (get(t[:2]), get(t[::2]), get(t[1:])))]
 
 
 def greedy_triangle_packing(g: Graph, seed: int | None = None) -> PackingWitness:

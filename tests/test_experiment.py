@@ -2,7 +2,43 @@ import csv
 
 import pytest
 
-from tricover import ExperimentSpec, random_gnp, run_experiment, write_csv
+from tricover import (
+    ExperimentSpec,
+    TrialRecord,
+    cover_via_bipartite,
+    random_gnp,
+    run_experiment,
+    steiner_triple_system,
+    write_csv,
+)
+
+from reference_packing import reference_extend_packing, reference_triangle
+
+
+def reference_steiner_trial(n: int, p: float, index: int, seed: int) -> TrialRecord:
+    """One steiner-seeded trial from has_edge survivors and the triple-scan
+    greedy extension."""
+    g = random_gnp(n, p, seed)
+    alive = [
+        reference_triangle(g, a, b, c)
+        for a, b, c in (t.vertices for t in steiner_triple_system(n).triangles)
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+    ]
+    packing = reference_extend_packing(g, alive)
+    cover = cover_via_bipartite(g).cover
+    m, k, c = g.num_edges, len(packing), len(cover)
+    return TrialRecord(
+        index=index,
+        seed=seed,
+        num_edges=m,
+        steiner_survivors=len(alive),
+        packing_lower=k,
+        cover_size=c,
+        packing_over_edges=k / m if m else None,
+        cover_over_packing=c / k if k else None,
+        packing_ge_quarter_edges=4 * k >= m if m else None,
+        cover_le_twice_packing=c <= 2 * k if m else None,
+    )
 
 
 class TestSpecValidation:
@@ -37,6 +73,13 @@ class TestTrials:
         for r in run_experiment(spec).records:
             assert r.steiner_survivors is not None
             assert r.steiner_survivors <= r.packing_lower
+
+    @pytest.mark.parametrize("n", [7, 9, 13, 49])
+    @pytest.mark.parametrize("p, seed", [(0.3, 11), (0.7, 500), (0.95, 3)])
+    def test_steiner_trials_match_reference(self, n, p, seed):
+        spec = ExperimentSpec(n=n, p=p, trials=3, seed=seed, estimator="steiner-seeded")
+        expected = tuple(reference_steiner_trial(n, p, i, seed + i) for i in range(3))
+        assert run_experiment(spec).records == expected
 
     def test_greedy_records_have_no_survivor_field(self):
         spec = ExperimentSpec(n=10, p=0.6, trials=3, seed=5)

@@ -21,6 +21,7 @@ from tricover import (
 )
 
 from generators import book_graph
+from reference_packing import reference_extend_packing, reference_triangle
 
 
 def brute_triangles(g: Graph) -> set[tuple[int, int, int]]:
@@ -32,26 +33,6 @@ def brute_triangles(g: Graph) -> set[tuple[int, int, int]]:
                 if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
                     found.add((a, b, c))
     return found
-
-
-def reference_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
-    return Triangle((a, b, c), tuple(sorted((g.edge_id(a, b), g.edge_id(b, c), g.edge_id(a, c)))))
-
-
-def reference_extend_packing(g: Graph, base) -> PackingWitness:
-    """The greedy extension before the edge-driven scan: every triangle in
-    canonical order, taken when edge-disjoint from those chosen. Triangles
-    come from an own triple scan, not from enumerate_triangles."""
-    chosen = list(base)
-    used = {e for t in chosen for e in t.edge_ids}
-    for a, b, c in combinations(range(g.n), 3):
-        if not (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)):
-            continue
-        t = reference_triangle(g, a, b, c)
-        if used.isdisjoint(t.edge_ids):
-            chosen.append(t)
-            used.update(t.edge_ids)
-    return PackingWitness(tuple(chosen))
 
 
 def reference_bipartite_cut_cover(g: Graph) -> frozenset[int]:
@@ -80,6 +61,20 @@ def random_disjoint_base(g: Graph, rng: random.Random, keep: float) -> list[Tria
             base.append(t)
             used.update(t.edge_ids)
     return base
+
+
+def unsorted_triples(base: list[Triangle], rng: random.Random) -> list[Triangle]:
+    """The same triangles, each vertex triple reversed or shuffled."""
+    return [
+        Triangle(t.vertices[::-1] if i % 2 == 0 else tuple(rng.sample(t.vertices, 3)), t.edge_ids)
+        for i, t in enumerate(base)
+    ]
+
+
+def validate_message(g: Graph, base: list[Triangle]) -> str:
+    with pytest.raises(ValueError) as info:
+        PackingWitness(tuple(base)).validate(g)
+    return str(info.value)
 
 
 def is_bipartite(g: Graph, skip_edges: frozenset[int]) -> bool:
@@ -324,6 +319,73 @@ class TestEdgeDrivenPacking:
         g = random_gnp(n, p, seed)
         alive = brute_triangles(g)
         base = [reference_triangle(g, *t.vertices) for t in steiner_triple_system(n).triangles if t.vertices in alive]
+        assert extend_packing(g, base) == reference_extend_packing(g, base)
+
+
+class TestBaseValidation:
+    """extend_packing checks its base while clearing the base's edges and
+    falls back to PackingWitness.validate only when that check fails, so a
+    bad base raises exactly validate's message and an unsorted triple of a
+    real triangle is still accepted."""
+
+    def malformed(self, g: Graph, base: list[Triangle], rng: random.Random) -> dict[str, list[Triangle]]:
+        tris = [reference_triangle(g, *abc) for abc in sorted(brute_triangles(g))]
+        used = {e for t in base for e in t.edge_ids}
+        a, b, c = rng.choice([abc for abc in combinations(range(g.n), 3) if abc not in brute_triangles(g)])
+        t = rng.choice(tris)
+        x, y, z = t.edge_ids
+        sharing = [u for u in tris if not used.isdisjoint(u.edge_ids)]
+        return {
+            "non-triangle": [Triangle((a, b, c), (0, 1, 2)), Triangle((c, a, b), (0, 1, 2))],
+            "out-of-range": [Triangle((0, 1, g.n), (0, 1, 2)), Triangle((-1, 0, 1), (0, 1, 2))],
+            "wrong-ids": [Triangle(t.vertices, (z, y, x)), Triangle(t.vertices, (x, y, z + 1))],
+            "shared-edge": [rng.choice(sharing), unsorted_triples([rng.choice(sharing)], rng)[0], base[0]],
+        }
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_malformed_base_raises_validate_message(self, seed):
+        rng = random.Random(seed)
+        g = random_gnp(12, 0.6, seed)
+        base = random_disjoint_base(g, rng, 0.7)
+        if seed % 2:
+            base = unsorted_triples(base, rng)
+        assert base
+        expected = {
+            "non-triangle": "not a triangle of the graph",
+            "out-of-range": "not a triangle of the graph",
+            "wrong-ids": "do not match vertices",
+            "shared-edge": "used by two triangles",
+        }
+        for kind, bad in self.malformed(g, base, rng).items():
+            for t in bad:
+                for pos in (0, len(base) // 2, len(base)):
+                    broken = base[:pos] + [t] + base[pos:]
+                    message = validate_message(g, broken)
+                    assert expected[kind] in message
+                    with pytest.raises(ValueError) as info:
+                        extend_packing(g, broken)
+                    assert str(info.value) == message
+
+    def test_validate_runs_only_on_a_bad_base(self, monkeypatch):
+        calls = []
+        validate = PackingWitness.validate
+        monkeypatch.setattr(PackingWitness, "validate", lambda w, g: calls.append(len(w)) or validate(w, g))
+        rng = random.Random(3)
+        g = random_gnp(13, 0.8, 3)
+        base = unsorted_triples(random_disjoint_base(g, rng, 0.8), rng)
+        extend_packing(g, base)
+        extend_packing(g, base[::-1])
+        assert calls == []
+        with pytest.raises(ValueError):
+            extend_packing(g, base + base[:1])
+        assert calls == [len(base) + 1]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unsorted_base_triples_match_reference(self, seed):
+        rng = random.Random(seed)
+        g = random_gnp(rng.randint(5, 20), rng.uniform(0.4, 1.0), seed)
+        base = unsorted_triples(random_disjoint_base(g, rng, 0.6), rng)
+        assert all(t.vertices != tuple(sorted(t.vertices)) for t in base[::2])
         assert extend_packing(g, base) == reference_extend_packing(g, base)
 
 

@@ -3,10 +3,14 @@ from itertools import combinations
 
 import pytest
 
+import tricover.oracles as oracles
 from tricover import (
     BudgetExceededError,
     Hypergraph,
+    InvariantError,
     OracleBudget,
+    PackingWitness,
+    Triangle,
     complete_graph,
     enumerate_triangles,
     fano_plane,
@@ -176,10 +180,46 @@ class TestBudgets:
         assert nu == 2
 
 
+ADMISSIBLE = [n for n in range(3, 62) if n % 6 in (1, 3)]
+
+
+def reference_steiner(n: int) -> PackingWitness:
+    """The construction's triples with ids looked up in a built K_n, checked
+    by PackingWitness.validate and by the triangle count."""
+    kn = complete_graph(n)
+    triples = oracles._bose_triples(n) if n % 6 == 3 else oracles._skolem_triples(n)
+    tris = []
+    for a, b, c in sorted(tuple(sorted(t)) for t in triples):
+        tris.append(Triangle((a, b, c), (kn.edge_id(a, b), kn.edge_id(a, c), kn.edge_id(b, c))))
+    witness = PackingWitness(tuple(tris))
+    witness.validate(kn)
+    assert 3 * len(witness) == kn.num_edges
+    return witness
+
+
 class TestSteinerTripleSystems:
-    @pytest.mark.parametrize("n", [3, 7, 9, 13, 15, 19, 21])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda ts, n: ts + [ts[len(ts) // 2]], "covers an edge a second time"),
+            (lambda ts, n: ts[:-1], "does not cover every edge exactly once"),
+            (lambda ts, n: ts[:-1] + [(ts[-1][0], ts[-1][1], n)], "is not three distinct vertices"),
+            (lambda ts, n: ts[:-1] + [(ts[-1][0], ts[-1][1], -1)], "is not three distinct vertices"),
+            (lambda ts, n: ts[:-1] + [(ts[-1][0], ts[-1][0], ts[-1][1])], "is not three distinct vertices"),
+        ],
+        ids=["duplicated", "dropped", "vertex-n", "vertex-negative", "repeated-vertex"],
+    )
+    @pytest.mark.parametrize("n, builder", [(49, "_skolem_triples"), (45, "_bose_triples")])
+    def test_corrupt_construction_raises(self, monkeypatch, n, builder, corrupt, message):
+        build = getattr(oracles, builder)
+        monkeypatch.setattr(oracles, builder, lambda k: corrupt(build(k), k))
+        with pytest.raises(InvariantError, match=message):
+            steiner_triple_system(n)
+
+    @pytest.mark.parametrize("n", ADMISSIBLE)
     def test_every_edge_covered_exactly_once(self, n):
         witness = steiner_triple_system(n)
+        assert witness == reference_steiner(n)
         assert len(witness) == n * (n - 1) // 6
         kn = complete_graph(n)
         witness.validate(kn)
