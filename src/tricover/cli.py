@@ -61,8 +61,8 @@ def _read(path: str) -> str:
         raise GraphFormatError(f"cannot read {path}: {ex}") from ex
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _emit(command: str, payload: dict) -> None:
+    sys.stdout.write(json.dumps({"schema": SCHEMA, "command": command, **payload}, indent=2) + "\n")
 
 
 def _edge_labels(g, labels, edge_ids) -> list[list[str]]:
@@ -79,8 +79,6 @@ def _cmd_cover(args) -> int:
     }
     cert: CoverCertificate = strategies[args.strategy](g)
     payload = {
-        "schema": SCHEMA,
-        "command": "cover",
         "requested_strategy": args.strategy,
         "strategy": cert.strategy,
         "num_vertices": g.n,
@@ -109,7 +107,7 @@ def _cmd_cover(args) -> int:
             explain["residual_transversal"] = _edge_labels(g, labels, cert.residual_pair.transversal)
             explain["residual_matching_size"] = len(cert.residual_pair.matching)
         payload["explain"] = explain
-    _emit(payload)
+    _emit("cover", payload)
     return EXIT_OK
 
 
@@ -117,8 +115,6 @@ def _cmd_analyze(args) -> int:
     g, _labels = parse_graph(_read(args.graph_file))
     report = condition_report(g, use_oracle=args.oracle)
     payload = {
-        "schema": SCHEMA,
-        "command": "analyze",
         "num_edges": report.num_edges,
         "num_triangles": report.num_triangles,
         "num_irreducible_edges": report.num_irreducible_edges,
@@ -130,7 +126,7 @@ def _cmd_analyze(args) -> int:
         "ratios": {k: _frac(v) for k, v in report.ratios.items()},
         "conditions": {"i": report.cond_i, "ii": report.cond_ii, "iii": report.cond_iii},
     }
-    _emit(payload)
+    _emit("analyze", payload)
     return EXIT_OK
 
 
@@ -144,8 +140,6 @@ def _cmd_fvs(args) -> int:
     residual = delete_vertices(h, result.removed_vertices)
     bound = h.num_hyperedges // 3
     payload = {
-        "schema": SCHEMA,
-        "command": "fvs",
         "num_vertices": len(h.vertices),
         "num_hyperedges": h.num_hyperedges,
         "fvs": [labels[v] for v in sorted(result.removed_vertices)],
@@ -154,7 +148,7 @@ def _cmd_fvs(args) -> int:
         "bound_holds": len(result.removed_vertices) <= bound,
         "residual_acyclic": is_acyclic(residual),
     }
-    _emit(payload)
+    _emit("fvs", payload)
     return EXIT_OK
 
 
@@ -164,8 +158,6 @@ def _cmd_fes(args) -> int:
     residual = delete_hyperedges(h, result.removed_hyperedges)
     minimal = is_minimal_fes(h, result.removed_hyperedges)
     payload = {
-        "schema": SCHEMA,
-        "command": "fes",
         "num_vertices": len(h.vertices),
         "num_hyperedges": h.num_hyperedges,
         "fes": sorted(result.removed_hyperedges),
@@ -180,7 +172,7 @@ def _cmd_fes(args) -> int:
     else:
         payload["bound"] = None
         payload["bound_holds"] = None
-    _emit(payload)
+    _emit("fes", payload)
     return EXIT_OK
 
 
@@ -188,8 +180,6 @@ def _cmd_solve_acyclic(args) -> int:
     h, labels = parse_hypergraph(_read(args.hypergraph_file))
     pair = solve_acyclic(h)
     payload = {
-        "schema": SCHEMA,
-        "command": "solve-acyclic",
         "num_vertices": len(h.vertices),
         "num_hyperedges": h.num_hyperedges,
         "transversal": [labels[v] for v in sorted(pair.transversal)],
@@ -198,7 +188,7 @@ def _cmd_solve_acyclic(args) -> int:
         "matching_size": len(pair.matching),
         "sizes_equal": len(pair.transversal) == len(pair.matching),
     }
-    _emit(payload)
+    _emit("solve-acyclic", payload)
     return EXIT_OK
 
 
@@ -217,8 +207,6 @@ def _cmd_random_experiment(args) -> int:
         except OSError as ex:
             raise TricoverError(f"cannot write {args.csv}: {ex.strerror}") from ex
     payload = {
-        "schema": SCHEMA,
-        "command": "random-experiment",
         "spec": {
             "n": spec.n,
             "p": spec.p,
@@ -235,7 +223,7 @@ def _cmd_random_experiment(args) -> int:
             "fraction_cover_le_twice": result.fraction_cover_le_twice,
         },
     }
-    _emit(payload)
+    _emit("random-experiment", payload)
     return EXIT_OK
 
 
@@ -258,17 +246,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="compute the exact packing number (small inputs)")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("fvs", help="feedback vertex set of a linear 3-uniform hypergraph")
-    p.add_argument("hypergraph_file")
-    p.set_defaults(func=_cmd_fvs)
-
-    p = sub.add_parser("fes", help="minimal feedback edge set of a hypergraph")
-    p.add_argument("hypergraph_file")
-    p.set_defaults(func=_cmd_fes)
-
-    p = sub.add_parser("solve-acyclic", help="minimum transversal and maximum matching of an acyclic hypergraph")
-    p.add_argument("hypergraph_file")
-    p.set_defaults(func=_cmd_solve_acyclic)
+    for name, func, text in (
+        ("fvs", _cmd_fvs, "feedback vertex set of a linear 3-uniform hypergraph"),
+        ("fes", _cmd_fes, "minimal feedback edge set of a hypergraph"),
+        ("solve-acyclic", _cmd_solve_acyclic, "minimum transversal and maximum matching of an acyclic hypergraph"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("hypergraph_file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("random-experiment", help="packing/cover statistics over random graphs")
     p.add_argument("--n", type=int, required=True)

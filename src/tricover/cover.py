@@ -146,18 +146,18 @@ def cover_via_bipartite(g: Graph) -> CoverCertificate:
     return CoverCertificate("bipartite", cover, claimed, frozenset(), None)
 
 
+def _all_routes(g: Graph, h: Hypergraph) -> dict[str, CoverCertificate]:
+    """The three routes' certificates on g, whose triangle hypergraph is h, in STRATEGY_ORDER."""
+    return {"fvs": _via_fvs(h), "fes": _via_fes(h), "bipartite": cover_via_bipartite(g)}
+
+
 def best_cover(g: Graph) -> CoverCertificate:
     """Run all three strategies and keep the smallest cover.
 
     Ties prefer fvs, then fes, then bipartite. The chosen certificate records
     all three sizes.
     """
-    h = triangle_hypergraph(g)
-    certs = {
-        "fvs": _via_fvs(h),
-        "fes": _via_fes(h),
-        "bipartite": cover_via_bipartite(g),
-    }
+    certs = _all_routes(g, triangle_hypergraph(g))
     sizes = {name: certs[name].size for name in STRATEGY_ORDER}
     winner = min(STRATEGY_ORDER, key=lambda name: sizes[name])
     return dataclasses.replace(certs[winner], strategy_sizes=dict(sizes))
@@ -243,11 +243,7 @@ def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
     if use_oracle:
         nu_exact, _ = max_triangle_packing(g)
 
-    cover_sizes = {
-        "fvs": _via_fvs(h).size,
-        "fes": _via_fes(h).size,
-        "bipartite": cover_via_bipartite(g).size,
-    }
+    cover_sizes = {name: cert.size for name, cert in _all_routes(g, h).items()}
     nu_upper = min(cover_sizes.values())
 
     def status(scale: int, total: int, degenerate: bool) -> str:

@@ -24,7 +24,7 @@ from tricover import (
     triangle_hypergraph,
     validate_cycle,
 )
-from tricover.hypergraph import _cycle_key, _shortest_cycle
+from tricover.hypergraph import _shortest_cycle
 
 import reference_fvs
 from generators import (
@@ -344,7 +344,7 @@ class TestCycleSearch:
                     if eid in used or cur not in e:
                         continue
                     if start in e and len(spine) >= 2:
-                        out.add(Cycle.canonical(spine, used + [eid]))
+                        out.add(reference_fvs._canonical(spine, used + [eid]))
                     for w in e:
                         if w != cur and w not in spine:
                             dfs(start, w, used + [eid], spine + [w])
@@ -364,7 +364,7 @@ class TestCycleSearch:
             if not cycles:
                 assert got is None
                 continue
-            assert got == min(cycles, key=_cycle_key)
+            assert got == min(cycles, key=reference_fvs._cycle_key)
             checked += 1
         assert checked >= 15
 
@@ -416,12 +416,37 @@ class TestCycleSearchAgainstReference:
 
 
 class TestCycleCanonicalForm:
-    def test_rotations_and_reflections_collapse(self):
-        base = Cycle.canonical((3, 1, 2), (10, 11, 12))
-        rotated = Cycle.canonical((1, 2, 3), (11, 12, 10))
-        reflected = Cycle.canonical((3, 2, 1), (12, 11, 10))
-        assert base == rotated == reflected
-        assert base.vertices[0] == 1
+    @staticmethod
+    def shuffled_necklace(rng: random.Random, k: int) -> Hypergraph:
+        """One hyperedge cycle of length k, a pendant vertex per hyperedge,
+        with vertex labels and hyperedge ids both shuffled."""
+        label = rng.sample(range(2 * k), 2 * k)
+        hyperedges = [(label[i], label[(i + 1) % k], label[k + i]) for i in range(k)]
+        rng.shuffle(hyperedges)
+        return Hypergraph(range(2 * k), hyperedges)
+
+    def test_search_answers_are_canonical(self):
+        # The search keeps the least orientation it finds and runs no
+        # canonicalisation pass; the reference's own canonical form of each
+        # answer must be the answer itself.
+        rng = random.Random(96)
+        corpus = [
+            *two_regular_fixtures(),
+            *random_cubic_duals(seed=97, count=40, sizes=(4, 8, 12, 16, 20)),
+            *(random_linear_3_uniform(rng, nv, rng.randint(nv // 3, nv)) for nv in range(8, 48)),
+            *(self.shuffled_necklace(rng, k) for k in range(3, 25)),
+        ]
+        checked = 0
+        for h in corpus:
+            # Descending mappings: the answer must not depend on their order.
+            edges = {e: sorted(h.hyperedge(e), reverse=True) for e in reversed(h.hyperedge_ids)}
+            incident = {v: h.incident(v)[::-1] for v in sorted(h.non_isolated_vertices(), reverse=True)}
+            for c in (shortest_cycle(h), _shortest_cycle(edges, incident)):
+                if c is not None:
+                    assert reference_fvs._canonical(c.vertices, c.hyperedge_ids) == c
+                    validate_cycle(h, c)
+                    checked += 1
+        assert checked >= 2 * 100
 
     def test_validate_cycle_rejects_bad_incidence(self):
         h = Hypergraph(range(4), [(0, 1, 2), (1, 2, 3)])

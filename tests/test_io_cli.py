@@ -363,6 +363,41 @@ class TestRandomExperimentCommand:
         assert err == f"error: cannot write {csv_path}: No such file or directory\n"
 
 
+class TestParser:
+    HELP = {
+        "cover": "compute a certified triangle cover of a graph",
+        "analyze": "report triangle/edge ratios and condition statuses",
+        "fvs": "feedback vertex set of a linear 3-uniform hypergraph",
+        "fes": "minimal feedback edge set of a hypergraph",
+        "solve-acyclic": "minimum transversal and maximum matching of an acyclic hypergraph",
+        "random-experiment": "packing/cover statistics over random graphs",
+    }
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        # argparse wraps long names and help strings to the terminal width.
+        out = " ".join(capsys.readouterr().out.split())
+        assert "{" + ",".join(self.HELP) + "}" in out
+        for name, text in self.HELP.items():
+            assert f" {name} {text} " in out
+
+    @pytest.mark.parametrize(
+        "name, handler", [("fvs", "_cmd_fvs"), ("fes", "_cmd_fes"), ("solve-acyclic", "_cmd_solve_acyclic")]
+    )
+    def test_hypergraph_commands_dispatch_to_their_own_handler(self, monkeypatch, name, handler):
+        called = []
+
+        def recorder(cmd):
+            return lambda args: called.append((cmd, args.hypergraph_file)) or 0
+
+        for cmd in ("_cmd_fvs", "_cmd_fes", "_cmd_solve_acyclic"):
+            monkeypatch.setattr(tricover.cli, cmd, recorder(cmd))
+        assert main([name, "h.txt"]) == 0
+        assert called == [(handler, "h.txt")]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
