@@ -69,7 +69,7 @@ def _edge_labels(g, labels, edge_ids) -> list[list[str]]:
     return [[labels[u], labels[v]] for u, v in (g.edge_pair(e) for e in sorted(edge_ids))]
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args) -> dict:
     g, labels = parse_graph(_read(args.graph_file))
     strategies = {
         "fvs": cover_via_fvs,
@@ -107,14 +107,13 @@ def _cmd_cover(args) -> int:
             explain["residual_transversal"] = _edge_labels(g, labels, cert.residual_pair.transversal)
             explain["residual_matching_size"] = len(cert.residual_pair.matching)
         payload["explain"] = explain
-    _emit("cover", payload)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     g, _labels = parse_graph(_read(args.graph_file))
     report = condition_report(g, use_oracle=args.oracle)
-    payload = {
+    return {
         "num_edges": report.num_edges,
         "num_triangles": report.num_triangles,
         "num_irreducible_edges": report.num_irreducible_edges,
@@ -126,11 +125,9 @@ def _cmd_analyze(args) -> int:
         "ratios": {k: _frac(v) for k, v in report.ratios.items()},
         "conditions": {"i": report.cond_i, "ii": report.cond_ii, "iii": report.cond_iii},
     }
-    _emit("analyze", payload)
-    return EXIT_OK
 
 
-def _cmd_fvs(args) -> int:
+def _cmd_fvs(args) -> dict:
     h, labels = parse_hypergraph(_read(args.hypergraph_file))
     if not is_k_uniform(h, 3):
         raise NotThreeUniformError("not 3-uniform")
@@ -139,7 +136,7 @@ def _cmd_fvs(args) -> int:
     result = _feedback_vertex_set(h)
     residual = delete_vertices(h, result.removed_vertices)
     bound = h.num_hyperedges // 3
-    payload = {
+    return {
         "num_vertices": len(h.vertices),
         "num_hyperedges": h.num_hyperedges,
         "fvs": [labels[v] for v in sorted(result.removed_vertices)],
@@ -148,11 +145,9 @@ def _cmd_fvs(args) -> int:
         "bound_holds": len(result.removed_vertices) <= bound,
         "residual_acyclic": is_acyclic(residual),
     }
-    _emit("fvs", payload)
-    return EXIT_OK
 
 
-def _cmd_fes(args) -> int:
+def _cmd_fes(args) -> dict:
     h, _labels = parse_hypergraph(_read(args.hypergraph_file))
     result = minimal_fes(h)
     residual = delete_hyperedges(h, result.removed_hyperedges)
@@ -172,14 +167,13 @@ def _cmd_fes(args) -> int:
     else:
         payload["bound"] = None
         payload["bound_holds"] = None
-    _emit("fes", payload)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_solve_acyclic(args) -> int:
+def _cmd_solve_acyclic(args) -> dict:
     h, labels = parse_hypergraph(_read(args.hypergraph_file))
     pair = solve_acyclic(h)
-    payload = {
+    return {
         "num_vertices": len(h.vertices),
         "num_hyperedges": h.num_hyperedges,
         "transversal": [labels[v] for v in sorted(pair.transversal)],
@@ -188,11 +182,9 @@ def _cmd_solve_acyclic(args) -> int:
         "matching_size": len(pair.matching),
         "sizes_equal": len(pair.transversal) == len(pair.matching),
     }
-    _emit("solve-acyclic", payload)
-    return EXIT_OK
 
 
-def _cmd_random_experiment(args) -> int:
+def _cmd_random_experiment(args) -> dict:
     spec = ExperimentSpec(n=args.n, p=args.p, trials=args.trials, seed=args.seed, estimator=args.estimator)
     if args.csv:
         try:
@@ -206,7 +198,7 @@ def _cmd_random_experiment(args) -> int:
             write_csv(result, args.csv)
         except OSError as ex:
             raise TricoverError(f"cannot write {args.csv}: {ex.strerror}") from ex
-    payload = {
+    return {
         "spec": {
             "n": spec.n,
             "p": spec.p,
@@ -223,8 +215,6 @@ def _cmd_random_experiment(args) -> int:
             "fraction_cover_le_twice": result.fraction_cover_le_twice,
         },
     }
-    _emit("random-experiment", payload)
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
     except GraphFormatError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PARSE
@@ -280,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     except TricoverError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PRECONDITION
+    _emit(args.command, payload)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

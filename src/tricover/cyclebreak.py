@@ -7,6 +7,7 @@ Two engines:
   five rules, tried in a fixed priority order, each charging at least three
   deleted hyperedges per removed vertex. The rules mutate one
   `hypergraph._WorkingState`, whose peel and cycle searches decide rule 2.
+  Rule 4 reads only degrees, and rule 5 searches for a shortest cycle.
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
@@ -21,7 +22,6 @@ from typing import Collection
 from .errors import InvariantError, NotLinearError, NotThreeUniformError
 from .hypergraph import (
     Hypergraph,
-    _bfs_path,
     _Forest,
     _shortest_cycle,
     _WorkingState,
@@ -71,8 +71,13 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     1. at most 2 hyperedges left: done (a linear cycle needs 3);
     2. some non-isolated vertex or hyperedge lies on no cycle: drop it;
     3. some vertex has degree >= 3: take it, drop it (kills >= 3 hyperedges);
-    4. some vertex v has degree 1: its hyperedge e1 lies on a cycle
-       v1 e1 v2 e2 v3 ...; take v3 and drop hyperedges e1, e2, e3;
+    4. some vertex p has degree 1 (the least): its hyperedge e1 = {p, a, b},
+       a < b, lies on a cycle, which enters and leaves e1 at a and b, so b
+       has degree 2 and one other hyperedge e2. e2 lies on a cycle too, so
+       it has a member other than b of degree 2; let v3 be the least and e3
+       its other hyperedge. Take v3 and drop e1, e2, e3: taking v3 kills e2
+       and e3, and leaves b of degree 1, so e1 lies on no cycle. No search
+       runs;
     5. otherwise the hypergraph is 2-regular: take a shortest cycle
        v1 e1 ... vk ek, let u_i be the third vertex of e_i and f_i the other
        hyperedge at u_i, and branch on k mod 3:
@@ -140,17 +145,23 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
 
         pendant = min((v for v, eids in state.incident.items() if len(eids) == 1), default=None)
         if pendant is not None:
+            # Rule 3 left every degree at most 2, and rule 2 left e1 on a
+            # cycle, which enters and leaves e1 at its members a < b other
+            # than the pendant. So b has degree 2 and one other hyperedge e2.
+            # e2 lies on a cycle too, so besides b it has a member of degree
+            # 2; v3 is the least, and e3 its other hyperedge. Taking v3 kills
+            # e2 and e3 and leaves b of degree 1 like the pendant, so e1 lies
+            # on no cycle: three hyperedges go per taken vertex.
             (e1,) = state.incident[pendant]
-            # The pendant vertex lies on no cycle, so every cycle through e1
-            # enters and leaves it at its other two members a < b. The
-            # shortest path a ... e3 v3 e2 b avoiding e1 closes the cycle
-            # a e1 b e2 v3 e3 ... a: its least labelling that starts with e1.
-            a, b = sorted(state.edges[e1] - {pendant})
-            path = _bfs_path(state.edges, state.incident, a, b, e1)
-            if path is None:
-                raise InvariantError(f"hyperedge {e1} survived rule 2 but lies on no cycle")
-            verts, path_edges = path
-            v3, e2, e3 = verts[-2], path_edges[-1], path_edges[-2]
+            b = max(state.edges[e1] - {pendant})
+            e2s = state.incident[b] - {e1}
+            if len(e2s) != 1:
+                raise InvariantError(f"vertex {b} of on-cycle hyperedge {e1} has no single other hyperedge")
+            (e2,) = e2s
+            v3 = min((v for v in state.edges[e2] if v != b and len(state.incident[v]) == 2), default=None)
+            if v3 is None:
+                raise InvariantError(f"hyperedge {e2} survived rule 2 but only {b} has degree 2")
+            (e3,) = state.incident[v3] - {e2}
             removed.add(v3)
             trace.append(("take_vertex_past_pendant_edge", (pendant, e1, e2, e3, v3)))
             for eid in (e1, e2, e3):
@@ -161,8 +172,6 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         # The working copy is a sub-hypergraph of the linear input, hence
         # linear itself.
         cyc = _shortest_cycle(state.edges, state.incident)
-        if cyc is None:
-            raise InvariantError("a 2-regular hypergraph with hyperedges has no cycle")
         vs, es = list(cyc.vertices), list(cyc.hyperedge_ids)
         k = len(es)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cover import cover_via_bipartite
 from .errors import ExperimentSpecError
-from .graph import _surviving_triangles, extend_packing, greedy_triangle_packing, random_gnp
+from .graph import _surviving_triangles, extend_packing, random_gnp
 from .oracles import steiner_triple_system
 
 ESTIMATORS = ("greedy", "steiner-seeded")
@@ -100,8 +100,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for i in range(spec.trials):
         trial_seed = spec.seed + i
         g = random_gnp(spec.n, spec.p, trial_seed)
-        alive = _surviving_triangles(g, base_triples)
-        packing = extend_packing(g, alive) if steiner else greedy_triangle_packing(g)
+        alive = _surviving_triangles(g, base_triples)  # empty for greedy, which has no base
+        packing = extend_packing(g, alive)
 
         cover = cover_via_bipartite(g).cover
         m = g.num_edges

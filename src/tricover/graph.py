@@ -230,18 +230,10 @@ def _surviving_triangles(g: Graph, triples: Iterable[tuple[int, int, int]]) -> l
     return [Triangle(t, ids) for t in triples if None not in (ids := (get(t[:2]), get(t[::2]), get(t[1:])))]
 
 
-def greedy_triangle_packing(g: Graph, seed: int | None = None) -> PackingWitness:
-    """Maximal (not maximum) edge-disjoint triangle set.
-
-    With seed=None the canonical triangle order is used; otherwise the
-    candidate order is shuffled reproducibly by that seed. The result is
-    always maximal: no remaining triangle of g is edge-disjoint from it.
-    """
-    if seed is None:
-        return extend_packing(g, ())
-    tris = list(enumerate_triangles(g))
-    random.Random(seed).shuffle(tris)
-    return PackingWitness(tuple(tris[i] for i in _first_fit(t.edge_ids for t in tris)))
+def greedy_triangle_packing(g: Graph) -> PackingWitness:
+    """Maximal (not maximum) edge-disjoint triangle set, taken in canonical
+    triangle order: no remaining triangle of g is edge-disjoint from it."""
+    return extend_packing(g, ())
 
 
 def complete_graph(n: int) -> Graph:

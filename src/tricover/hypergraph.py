@@ -21,7 +21,9 @@ length k correspond exactly to incidence cycles of length 2k. The searches
 read it from two mappings, hyperedge id -> members and non-isolated vertex ->
 incident hyperedge ids. `_WorkingState` holds a copy that the FVS engine
 mutates in place, and has the one cycle-membership search: a peel to the
-2-core, then a BFS for a cycle through each hyperedge the peel leaves.
+2-core, then a BFS for a cycle through each hyperedge the peel leaves. The
+only other search is `shortest_cycle`, for FVS rule 5; rule 4 reads degrees
+off the mappings and searches nothing.
 """
 
 from __future__ import annotations
@@ -395,40 +397,6 @@ def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(v for e in edges_on for v in state.edges[e]), edges_on
 
 
-def _bfs_path(
-    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]], src: int, dst: int, banned: int
-) -> tuple[list[int], list[int]] | None:
-    """Shortest alternating path src e1 w1 ... ek dst avoiding hyperedge
-    `banned`, as (vertices, hyperedge ids), or None.
-
-    BFS over the incidence graph that visits each vertex's hyperedges and
-    each hyperedge's members in ascending id order, so the parent of every
-    vertex and hyperedge is fixed and the returned path is reproducible.
-    """
-    via: dict[int, int] = {src: banned}  # vertex -> hyperedge it was reached through
-    entered: dict[int, int] = {banned: src}  # hyperedge -> vertex it was entered from
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for e in sorted(incident[x]):
-            if e in entered:
-                continue
-            entered[e] = x
-            for w in sorted(edges[e]):
-                if w in via:
-                    continue
-                via[w] = e
-                if w == dst:
-                    verts, path_edges = [w], []
-                    while w != src:
-                        path_edges.append(via[w])
-                        w = entered[via[w]]
-                        verts.append(w)
-                    return verts[::-1], path_edges[::-1]
-                queue.append(w)
-    return None
-
-
 def shortest_cycle(h: Hypergraph) -> Cycle | None:
     """A minimum-length cycle of h, or None when h is acyclic.
 
@@ -438,30 +406,27 @@ def shortest_cycle(h: Hypergraph) -> Cycle | None:
     orientation it finds, which is canonical, so no canonicalisation pass
     runs. Deepening repeats the search at every length below the girth: one
     hyperedge cycle of length 60 took 0.031-0.044 s, 0.14-0.18 s at 120 (on
-    Python 3.11.7, 2 vCPUs). No package code calls this; FVS rule 5 calls the
-    core.
+    Python 3.11.7, 2 vCPUs). A union-find pass answers acyclic input first.
+    No package code calls this; FVS rule 5 calls the core on 2-regular
+    input, which always has a cycle.
     """
     if not is_linear(h):
         raise NotLinearError("cycle search requires a linear hypergraph")
-    return _shortest_cycle(h._edges, h._incident)
+    return None if is_acyclic(h) else _shortest_cycle(h._edges, h._incident)
 
 
-def _shortest_cycle(
-    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]
-) -> Cycle | None:
+def _shortest_cycle(edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]) -> Cycle:
     """shortest_cycle on hyperedge id -> members and non-isolated vertex ->
-    incident hyperedge ids, for a hypergraph already known to be linear.
+    incident hyperedge ids, for a hypergraph already known to be linear and
+    to have a cycle.
 
-    A union-find pass returns None on acyclic input. Otherwise the girth is
-    found by iterative deepening: every cycle of length 3, 4, ... is
-    enumerated in both orientations from its least spine vertex, and the
-    first length that has one is the girth. The least key found, which is
-    unique, is the winner's canonical form, so the enumeration order does
-    not matter.
+    The girth is found by iterative deepening: every cycle of length 3, 4,
+    ... is enumerated in both orientations from its least spine vertex, and
+    the first length that has one is the girth. The least key found, which
+    is unique, is the winner's canonical form, so the enumeration order
+    does not matter. InvariantError is raised when no length up to the
+    hyperedge count has a cycle.
     """
-    forest = _Forest()
-    if all(forest.link(e) for e in edges.values()):
-        return None
     best: tuple | None = None  # (sorted hyperedge ids, spine, hyperedge ids)
     spine: list[int] = []
     on_spine: set[int] = set()
@@ -503,4 +468,4 @@ def _shortest_cycle(
             extend(start, start, length)
         if best is not None:
             return Cycle(best[1], best[2])
-    raise InvariantError("no cycle found, though the union-find pass closed one")
+    raise InvariantError("no cycle found in a hypergraph that has one")

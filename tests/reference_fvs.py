@@ -3,9 +3,10 @@
 `feedback_vertex_set` is the original engine: it rebuilds the hypergraph
 after every deletion and recomputes cycle membership from scratch on every
 step, with its own bridge computation (`_bridge_edges`, `on_cycle_elements`)
-and the pairwise linearity scan (`is_linear_pairwise`). Its cycle searches
-(`_cycle_through_edge`, `shortest_cycle` with its `_girth` pre-pass, and the
-canonical form `_canonical`) run BFS over an encoded incidence adjacency
+and the pairwise linearity scan (`is_linear_pairwise`). Rule 4 searches
+nothing: it reads degrees and incidences off the rebuilt hypergraph. Rule 5's
+`shortest_cycle`, with its `_girth` pre-pass and the canonical form
+`_canonical`, runs BFS over an encoded incidence adjacency
 (`_incidence_adj`). None of them call the package's search code, so the
 package's engine and searches must return exactly the same results as an
 independent implementation.
@@ -46,10 +47,6 @@ def _vnode(v: int) -> int:
 
 def _enode(e: int) -> int:
     return (e << 1) | 1
-
-
-def _node_id(x: int) -> int:
-    return x >> 1
 
 
 def _incidence_adj(h: Hypergraph) -> dict[int, tuple[int, ...]]:
@@ -164,33 +161,6 @@ def _cycle_key(cycle: Cycle) -> tuple:
     return (len(cycle), tuple(sorted(cycle.hyperedge_ids)), cycle.vertices, cycle.hyperedge_ids)
 
 
-def _cycle_through_edge(h: Hypergraph, adj: Mapping[int, tuple[int, ...]], eid: int) -> Cycle | None:
-    """Shortest cycle whose hyperedge set contains eid, or None.
-
-    Any such cycle enters and leaves eid through two of its vertices; the rest
-    is an alternating path between them avoiding eid. One BFS per vertex pair
-    is exact.
-    """
-    members = sorted(h.hyperedge(eid))
-    best: Cycle | None = None
-    best_key: tuple | None = None
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            a, b = members[i], members[j]
-            path = _bfs_path(adj, _vnode(a), _vnode(b), _enode(eid))
-            if path is None:
-                continue
-            # Node path alternates a, e1, w1, ..., b; spine of the cycle is
-            # a -> (through eid) -> b -> back along the path.
-            verts = [_node_id(x) for x in path[::2]]
-            edges = [_node_id(x) for x in path[1::2]]
-            cyc = _canonical([verts[0]] + verts[:0:-1], [eid] + edges[::-1])
-            key = _cycle_key(cyc)
-            if best_key is None or key < best_key:
-                best, best_key = cyc, key
-    return best
-
-
 def _girth(h: Hypergraph, adj: Mapping[int, tuple[int, ...]]) -> int | None:
     best: int | None = None
     for eid in h.hyperedge_ids:
@@ -264,23 +234,6 @@ def shortest_cycle(h: Hypergraph) -> Cycle | None:
     return best
 
 
-def _rotate_edge_first(cycle: Cycle, eid: int) -> tuple[list[int], list[int]]:
-    """Relabel the cycle so that hyperedge eid comes first.
-
-    Both orientations are considered and the lexicographically smaller
-    (vertices, hyperedges) labeling wins, so the outcome is deterministic.
-    """
-    vs, es = list(cycle.vertices), list(cycle.hyperedge_ids)
-    rvs = [vs[0]] + vs[:0:-1]
-    res = es[::-1]
-    cands = []
-    for seq_v, seq_e in ((vs, es), (rvs, res)):
-        i = seq_e.index(eid)
-        cands.append((tuple(seq_v[i:] + seq_v[:i]), tuple(seq_e[i:] + seq_e[:i])))
-    best = min(cands)
-    return list(best[0]), list(best[1])
-
-
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """The original five-rule engine; the rules are documented on
     tricover.cyclebreak.feedback_vertex_set.
@@ -320,15 +273,20 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
 
         pendant = next((v for v in sorted(cur.non_isolated_vertices()) if cur.degree(v) == 1), None)
         if pendant is not None:
-            e1 = cur.incident(pendant)[0]
-            cyc = _cycle_through_edge(cur, _incidence_adj(cur), e1)
-            if cyc is None:
-                raise AssertionError(f"hyperedge {e1} lies on no cycle after rule 2")
-            vs, es = _rotate_edge_first(cyc, e1)
-            v3 = vs[2]
+            (e1,) = cur.incident(pendant)
+            b = max(cur.hyperedge(e1) - {pendant})
+            e2s = [f for f in cur.incident(b) if f != e1]
+            if len(e2s) != 1:
+                raise AssertionError(f"vertex {b} of hyperedge {e1} has {len(e2s)} other hyperedges")
+            e2 = e2s[0]
+            v3s = sorted(v for v in cur.hyperedge(e2) if v != b and cur.degree(v) == 2)
+            if not v3s:
+                raise AssertionError(f"hyperedge {e2} has no member of degree 2 besides {b}")
+            v3 = v3s[0]
+            e3 = next(f for f in cur.incident(v3) if f != e2)
             removed.add(v3)
-            trace.append(("take_vertex_past_pendant_edge", (pendant, e1, es[1], es[2], v3)))
-            cur = delete_hyperedges(cur, es[:3])
+            trace.append(("take_vertex_past_pendant_edge", (pendant, e1, e2, e3, v3)))
+            cur = delete_hyperedges(cur, (e1, e2, e3))
             continue
 
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.

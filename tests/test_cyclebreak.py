@@ -212,6 +212,76 @@ def pendant_cycles() -> list[Hypergraph]:
     return out
 
 
+class TestPendantRule:
+    """Rule 4 reads its hyperedges off the degrees, with no search; each
+    step must charge three distinct hyperedges to a vertex whose removal
+    leaves the pendant hyperedge on no cycle."""
+
+    @pytest.mark.parametrize("corpus", ["fvs_suite", "pendant_cycles", "random_linear", "bridged_blocks"])
+    def test_every_step_takes_a_vertex_that_strands_the_pendant_hyperedge(self, monkeypatch, corpus):
+        dropped: list[int] = []
+
+        class Recording(_WorkingState):
+            __slots__ = ()
+
+            def drop_edge(self, eid: int) -> None:
+                dropped.append(eid)
+                super().drop_edge(eid)
+
+        monkeypatch.setattr(tricover.cyclebreak, "_WorkingState", Recording)
+        rng = random.Random(f"pendant/{corpus}")
+        suites = {
+            "fvs_suite": fvs_suite,
+            "pendant_cycles": pendant_cycles,
+            "random_linear": lambda: mixed_linear_corpus(seed=94, count=120, max_hyperedges=60),
+            "bridged_blocks": lambda: [random_bridged_blocks(rng, rng.randint(3, 9)) for _ in range(60)],
+        }
+        steps = 0
+        for h in suites[corpus]():
+            dropped.clear()
+            res = feedback_vertex_set(h)
+            for _, (p, e1, e2, e3, v3) in (s for s in res.trace if s[0] == "take_vertex_past_pendant_edge"):
+                # The step drops e1, e2, e3 in a row; each hyperedge is dropped once.
+                i = dropped.index(e1)
+                assert dropped[i : i + 3] == [e1, e2, e3]
+                before = delete_hyperedges(h, dropped[:i])
+                assert max(map(before.degree, before.non_isolated_vertices())) <= 2
+                assert before.incident(p) == (e1,) and v3 in res.removed_vertices
+                assert len({e1, e2, e3}) == 3
+                (b,) = before.hyperedge(e1) & before.hyperedge(e2)
+                assert v3 in before.hyperedge(e2) & before.hyperedge(e3)
+                assert e1 in reference_fvs.on_cycle_elements(before)[1]
+                # Taking v3 kills e2 and e3, and with them every cycle through e1.
+                assert e1 not in reference_fvs.on_cycle_elements(delete_hyperedges(before, (e2, e3)))[1]
+                steps += 1
+        assert steps >= {"fvs_suite": 30, "pendant_cycles": 20, "random_linear": 60, "bridged_blocks": 100}[corpus]
+
+    def test_off_cycle_pendant_hyperedge_raises_under_optimize(self):
+        # With rule 2 stubbed out, rule 4 meets a pendant hyperedge on no
+        # cycle: b has no other hyperedge, or e2 has no second member of
+        # degree 2. -O strips asserts, so both checks must raise explicitly.
+        code = (
+            "import sys\n"
+            "import tricover.cyclebreak as cb\n"
+            "from tricover import Hypergraph, InvariantError\n"
+            "cb._WorkingState.off_cycle = lambda state: []\n"
+            "for edges in ([(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 1, 2), (2, 3, 4), (5, 6, 7)]):\n"
+            "    try:\n"
+            "        cb.feedback_vertex_set(Hypergraph(range(9), edges))\n"
+            "    except InvariantError as ex:\n"
+            "        print(sys.flags.optimize, ex)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        assert out.splitlines() == [
+            "1 vertex 2 of on-cycle hyperedge 0 has no single other hyperedge",
+            "1 hyperedge 1 survived rule 2 but only 2 has degree 2",
+        ]
+
+
 class TestCycleCertificates:
     """The certificates must report exactly the bridge search's membership
     after any sequence of deletions, and FVS must check its own output."""

@@ -390,7 +390,7 @@ class TestParser:
         called = []
 
         def recorder(cmd):
-            return lambda args: called.append((cmd, args.hypergraph_file)) or 0
+            return lambda args: called.append((cmd, args.hypergraph_file)) or {}
 
         for cmd in ("_cmd_fvs", "_cmd_fes", "_cmd_solve_acyclic"):
             monkeypatch.setattr(tricover.cli, cmd, recorder(cmd))
