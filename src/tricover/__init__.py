@@ -2,6 +2,8 @@
 3-uniform hypergraphs, with exact oracles and a random-graph experiment
 harness."""
 
+from types import ModuleType as _ModuleType
+
 from .acyclic import DualPair, solve_acyclic
 from .cover import (
     ConditionReport,
@@ -44,7 +46,6 @@ from .graph import (
 )
 from .hypergraph import (
     Component,
-    Cycle,
     Hypergraph,
     components,
     delete_hyperedges,
@@ -53,11 +54,9 @@ from .hypergraph import (
     is_k_uniform,
     is_linear,
     on_cycle_elements,
-    shortest_cycle,
     triangle_hypergraph,
-    validate_cycle,
 )
-from .io import format_graph, format_hypergraph, parse_graph, parse_hypergraph
+from .io import parse_graph, parse_hypergraph
 from .oracles import (
     GRAPH_BUDGET,
     HYPERGRAPH_BUDGET,
@@ -74,76 +73,7 @@ from .oracles import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "Component",
-    "ConditionReport",
-    "CoverCertificate",
-    "Cycle",
-    "CyclicInputError",
-    "DualPair",
-    "EmptyHyperedgeError",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "ExperimentSpecError",
-    "FesResult",
-    "FvsResult",
-    "GRAPH_BUDGET",
-    "Graph",
-    "GraphFormatError",
-    "HYPERGRAPH_BUDGET",
-    "Hypergraph",
-    "InvariantError",
-    "IsolatedVertexError",
-    "NotLinearError",
-    "NotThreeUniformError",
-    "OracleBudget",
-    "PackingWitness",
-    "TrialRecord",
-    "Triangle",
-    "TricoverError",
-    "best_cover",
-    "bipartite_cut_cover",
-    "complete_graph",
-    "components",
-    "condition_report",
-    "cover_is_valid",
-    "cover_via_bipartite",
-    "cover_via_fes",
-    "cover_via_fvs",
-    "delete_hyperedges",
-    "delete_vertices",
-    "disjoint_union",
-    "enumerate_triangles",
-    "extend_packing",
-    "fano_plane",
-    "feedback_vertex_set",
-    "fes_size_bound",
-    "format_graph",
-    "format_hypergraph",
-    "gadget_augment",
-    "greedy_triangle_packing",
-    "hypergraph_cover",
-    "irreducible_subgraph",
-    "is_acyclic",
-    "is_k_uniform",
-    "is_linear",
-    "max_matching",
-    "max_triangle_packing",
-    "min_feedback_edge_set",
-    "min_feedback_vertex_set",
-    "min_transversal",
-    "min_triangle_cover",
-    "minimal_fes",
-    "on_cycle_elements",
-    "parse_graph",
-    "parse_hypergraph",
-    "random_gnp",
-    "run_experiment",
-    "shortest_cycle",
-    "solve_acyclic",
-    "steiner_triple_system",
-    "triangle_hypergraph",
-    "validate_cycle",
-    "write_csv",
-]
+# Every public name imported above; importing them also binds the
+# submodules, which a star import must not pick up (`io` would shadow the
+# standard library).
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -30,15 +30,6 @@ from .hypergraph import (
     is_linear,
 )
 
-__all__ = [
-    "FvsResult",
-    "FesResult",
-    "feedback_vertex_set",
-    "minimal_fes",
-    "is_minimal_fes",
-    "fes_size_bound",
-]
-
 TraceStep = tuple[str, tuple[int, ...]]
 
 
@@ -171,8 +162,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
         # The working copy is a sub-hypergraph of the linear input, hence
         # linear itself.
-        cyc = _shortest_cycle(state.edges, state.incident)
-        vs, es = list(cyc.vertices), list(cyc.hyperedge_ids)
+        vs, es = map(list, _shortest_cycle(state.edges, state.incident))
         k = len(es)
 
         def third(i: int) -> int:

@@ -22,8 +22,8 @@ read it from two mappings, hyperedge id -> members and non-isolated vertex ->
 incident hyperedge ids. `_WorkingState` holds a copy that the FVS engine
 mutates in place, and has the one cycle-membership search: a peel to the
 2-core, then a BFS for a cycle through each hyperedge the peel leaves. The
-only other search is `shortest_cycle`, for FVS rule 5; rule 4 reads degrees
-off the mappings and searches nothing.
+only other search is `_shortest_cycle`, which FVS rule 5 calls on the
+working copy's mappings; rule 4 reads degrees off them and searches nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Mapping
 
-from .errors import InvariantError, NotLinearError
+from .errors import InvariantError
 from .graph import Graph, _triangle_scan
 
 
@@ -105,35 +105,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(vertices={len(self.vertices)}, hyperedges={self.num_hyperedges})"
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """Alternating cycle v1 e1 v2 ... vk ek v1.
-
-    shortest_cycle returns it in canonical form: among all rotations of both
-    orientations, the lexicographically least (vertices, hyperedge_ids)
-    pair; the spine then starts at its smallest vertex id.
-    """
-
-    vertices: tuple[int, ...]
-    hyperedge_ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.hyperedge_ids)
-
-
-def validate_cycle(h: Hypergraph, cycle: Cycle) -> None:
-    """Raise ValueError unless cycle satisfies the cycle invariants in h."""
-    vs, es = cycle.vertices, cycle.hyperedge_ids
-    if len(vs) != len(es) or len(vs) < 2:
-        raise ValueError("cycle needs equally many vertices and hyperedges, at least 2 each")
-    if len(set(vs)) != len(vs) or len(set(es)) != len(es):
-        raise ValueError("cycle vertices and hyperedges must be distinct")
-    k = len(vs)
-    for i in range(k):
-        if not {vs[i], vs[(i + 1) % k]} <= h.hyperedge(es[i]):
-            raise ValueError(f"hyperedge {es[i]} does not contain consecutive vertices")
 
 
 def is_linear(h: Hypergraph) -> bool:
@@ -397,35 +368,24 @@ def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(v for e in edges_on for v in state.edges[e]), edges_on
 
 
-def shortest_cycle(h: Hypergraph) -> Cycle | None:
-    """A minimum-length cycle of h, or None when h is acyclic.
+def _shortest_cycle(
+    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A minimum-length cycle as (spine v1 ... vk, hyperedge ids e1 ... ek),
+    read from hyperedge id -> members and non-isolated vertex -> incident
+    hyperedge ids of a hypergraph already known to be linear (so every
+    cycle has length >= 3) and to have a cycle.
 
-    Requires a linear hypergraph (so every cycle has length >= 3). The
-    tie-break is exact: among all minimum-length cycles, the least (sorted
-    hyperedge ids, canonical spine) wins. The search keeps the least
-    orientation it finds, which is canonical, so no canonicalisation pass
-    runs. Deepening repeats the search at every length below the girth: one
-    hyperedge cycle of length 60 took 0.031-0.044 s, 0.14-0.18 s at 120 (on
-    Python 3.11.7, 2 vCPUs). A union-find pass answers acyclic input first.
-    No package code calls this; FVS rule 5 calls the core on 2-regular
-    input, which always has a cycle.
-    """
-    if not is_linear(h):
-        raise NotLinearError("cycle search requires a linear hypergraph")
-    return None if is_acyclic(h) else _shortest_cycle(h._edges, h._incident)
-
-
-def _shortest_cycle(edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]) -> Cycle:
-    """shortest_cycle on hyperedge id -> members and non-isolated vertex ->
-    incident hyperedge ids, for a hypergraph already known to be linear and
-    to have a cycle.
-
-    The girth is found by iterative deepening: every cycle of length 3, 4,
-    ... is enumerated in both orientations from its least spine vertex, and
-    the first length that has one is the girth. The least key found, which
-    is unique, is the winner's canonical form, so the enumeration order
-    does not matter. InvariantError is raised when no length up to the
-    hyperedge count has a cycle.
+    The tie-break is exact: among all minimum-length cycles, the least
+    (sorted hyperedge ids, spine, hyperedge ids) wins, and the answer is in
+    canonical form, the least (spine, hyperedge ids) over all rotations of
+    both orientations, so the spine starts at its smallest vertex id. The
+    girth is found by iterative deepening: every cycle of length 3, 4, ...
+    is enumerated in both orientations from its least spine vertex, and the
+    first length that has one is the girth. The least key found, which is
+    unique and already canonical, is the answer, so neither the enumeration
+    order nor the order of the mappings matters. InvariantError is raised
+    when no length up to the hyperedge count has a cycle.
     """
     best: tuple | None = None  # (sorted hyperedge ids, spine, hyperedge ids)
     spine: list[int] = []
@@ -467,5 +427,5 @@ def _shortest_cycle(edges: Mapping[int, Collection[int]], incident: Mapping[int,
             spine, on_spine = [start], {start}
             extend(start, start, length)
         if best is not None:
-            return Cycle(best[1], best[2])
+            return best[1], best[2]
     raise InvariantError("no cycle found in a hypergraph that has one")

@@ -3,8 +3,8 @@
 Graph files: one edge per line as two whitespace-separated labels. Hypergraph
 files: one hyperedge per line as two or more labels. Everything after a '#'
 is a comment; blank lines are skipped. Labels are arbitrary tokens and map to
-dense integer ids in first-occurrence order, which emitters reverse, so a
-formatted structure re-parses to an identical one.
+dense integer ids in first-occurrence order; each parser returns the id ->
+label table beside the structure, and commands print answers through it.
 """
 
 from __future__ import annotations
@@ -59,18 +59,3 @@ def parse_hypergraph(text: str) -> tuple[Hypergraph, list[str]]:
         hyperedges.append([ids.setdefault(t, len(ids)) for t in tokens])
     return Hypergraph(range(len(ids)), hyperedges), list(ids)
 
-
-def format_graph(g: Graph, labels: list[str] | None = None) -> str:
-    """Edge-list text for g, one edge per line in edge-id order."""
-    if labels is None:
-        labels = [str(v) for v in range(g.n)]
-    return "".join(f"{labels[u]} {labels[v]}\n" for u, v in g.edges)
-
-
-def format_hypergraph(h: Hypergraph, labels: list[str] | None = None) -> str:
-    """Hyperedge-list text for h, one hyperedge per line in id order."""
-    if labels is None:
-        table = {v: str(v) for v in h.vertices}
-    else:
-        table = {v: labels[v] for v in h.vertices}
-    return "".join(" ".join(table[v] for v in sorted(e)) + "\n" for e in h.hyperedges)

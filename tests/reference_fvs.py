@@ -9,7 +9,9 @@ nothing: it reads degrees and incidences off the rebuilt hypergraph. Rule 5's
 `_canonical`, runs BFS over an encoded incidence adjacency
 (`_incidence_adj`). None of them call the package's search code, so the
 package's engine and searches must return exactly the same results as an
-independent implementation.
+independent implementation. A cycle here is a plain (spine, hyperedge ids)
+pair of tuples, the form `tricover.hypergraph._shortest_cycle` returns, and
+`validate_cycle` checks one against the cycle definition.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Iterable, Mapping
 from tricover.cyclebreak import FvsResult, TraceStep
 from tricover.errors import InvariantError, NotLinearError, NotThreeUniformError
 from tricover.hypergraph import (
-    Cycle,
     Hypergraph,
     delete_hyperedges,
     delete_vertices,
@@ -111,6 +112,22 @@ def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(cyc_verts), frozenset(cyc_edges)
 
 
+Cycle = tuple[tuple[int, ...], tuple[int, ...]]  # (spine v1 ... vk, hyperedge ids e1 ... ek)
+
+
+def validate_cycle(h: Hypergraph, cycle: Cycle) -> None:
+    """Raise ValueError unless cycle satisfies the cycle invariants in h."""
+    vs, es = cycle
+    if len(vs) != len(es) or len(vs) < 2:
+        raise ValueError("cycle needs equally many vertices and hyperedges, at least 2 each")
+    if len(set(vs)) != len(vs) or len(set(es)) != len(es):
+        raise ValueError("cycle vertices and hyperedges must be distinct")
+    k = len(vs)
+    for i in range(k):
+        if not {vs[i], vs[(i + 1) % k]} <= h.hyperedge(es[i]):
+            raise ValueError(f"hyperedge {es[i]} does not contain consecutive vertices")
+
+
 def _canonical(vertices: Iterable[int], hyperedge_ids: Iterable[int]) -> Cycle:
     """Among all rotations of both orientations, the lexicographically least
     (vertices, hyperedge_ids) pair."""
@@ -128,7 +145,7 @@ def _canonical(vertices: Iterable[int], hyperedge_ids: Iterable[int]) -> Cycle:
             cand = (tuple(seq_v[r:] + seq_v[:r]), tuple(seq_e[r:] + seq_e[:r]))
             if best is None or cand < best:
                 best = cand
-    return Cycle(*best)
+    return best
 
 
 def _bfs_path(adj: Mapping[int, tuple[int, ...]], src: int, dst: int, banned: int) -> list[int] | None:
@@ -158,7 +175,8 @@ def _bfs_path(adj: Mapping[int, tuple[int, ...]], src: int, dst: int, banned: in
 
 
 def _cycle_key(cycle: Cycle) -> tuple:
-    return (len(cycle), tuple(sorted(cycle.hyperedge_ids)), cycle.vertices, cycle.hyperedge_ids)
+    vs, es = cycle
+    return (len(es), tuple(sorted(es)), vs, es)
 
 
 def _girth(h: Hypergraph, adj: Mapping[int, tuple[int, ...]]) -> int | None:
@@ -293,7 +311,7 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
         cyc = shortest_cycle(cur)
         if cyc is None:
             raise AssertionError("the 2-regular remainder has no cycle")
-        vs, es = list(cyc.vertices), list(cyc.hyperedge_ids)
+        vs, es = map(list, cyc)
         k = len(es)
 
         def third(i: int) -> int:
