@@ -12,13 +12,13 @@ input file is ignored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
 from .acyclic import solve_acyclic
 from .cover import (
-    STRATEGY_ORDER,
     CoverCertificate,
     best_cover,
     condition_report,
@@ -35,7 +35,7 @@ from .errors import (
     NotThreeUniformError,
     TricoverError,
 )
-from .experiment import RECORD_COLUMNS, ExperimentSpec, run_experiment, write_csv
+from .experiment import ESTIMATORS, RECORD_COLUMNS, ExperimentSpec, run_experiment, write_csv
 from .hypergraph import delete_hyperedges, delete_vertices, is_acyclic, is_k_uniform, is_linear, triangle_hypergraph
 from .io import parse_graph, parse_hypergraph
 
@@ -71,13 +71,7 @@ def _edge_labels(g, labels, edge_ids) -> list[list[str]]:
 
 def _cmd_cover(args) -> dict:
     g, labels = parse_graph(_read(args.graph_file))
-    strategies = {
-        "fvs": cover_via_fvs,
-        "fes": cover_via_fes,
-        "bipartite": cover_via_bipartite,
-        "best": best_cover,
-    }
-    cert: CoverCertificate = strategies[args.strategy](g)
+    cert: CoverCertificate = args.strategies[args.strategy](g)
     payload = {
         "requested_strategy": args.strategy,
         "strategy": cert.strategy,
@@ -90,7 +84,7 @@ def _cmd_cover(args) -> dict:
         "valid": cover_is_valid(g, cert.cover),
     }
     if cert.strategy_sizes is not None:
-        payload["strategy_sizes"] = {k: cert.strategy_sizes[k] for k in STRATEGY_ORDER}
+        payload["strategy_sizes"] = dict(cert.strategy_sizes)
     if args.explain:
         explain: dict = {
             "breaker_edges": _edge_labels(g, labels, cert.breaker),
@@ -121,14 +115,19 @@ def _cmd_analyze(args) -> dict:
         "nu_exact": report.nu_exact,
         "nu_upper": report.nu_upper,
         "nu_upper_note": "min cover size; bounds the packing number via packing <= cover",
-        "cover_sizes": {k: report.cover_sizes[k] for k in STRATEGY_ORDER},
+        "cover_sizes": dict(report.cover_sizes),
         "ratios": {k: _frac(v) for k, v in report.ratios.items()},
         "conditions": {"i": report.cond_i, "ii": report.cond_ii, "iii": report.cond_iii},
     }
 
 
-def _cmd_fvs(args) -> dict:
+def _cmd_hypergraph(args) -> dict:
+    """fvs, fes and solve-acyclic: read the hypergraph, then run the command's handler."""
     h, labels = parse_hypergraph(_read(args.hypergraph_file))
+    return {"num_vertices": len(h.vertices), "num_hyperedges": h.num_hyperedges, **args.handler(h, labels)}
+
+
+def _cmd_fvs(h, labels) -> dict:
     if not is_k_uniform(h, 3):
         raise NotThreeUniformError("not 3-uniform")
     if not is_linear(h):
@@ -137,8 +136,6 @@ def _cmd_fvs(args) -> dict:
     residual = delete_vertices(h, result.removed_vertices)
     bound = h.num_hyperedges // 3
     return {
-        "num_vertices": len(h.vertices),
-        "num_hyperedges": h.num_hyperedges,
         "fvs": [labels[v] for v in sorted(result.removed_vertices)],
         "fvs_size": len(result.removed_vertices),
         "bound": bound,
@@ -147,14 +144,11 @@ def _cmd_fvs(args) -> dict:
     }
 
 
-def _cmd_fes(args) -> dict:
-    h, _labels = parse_hypergraph(_read(args.hypergraph_file))
+def _cmd_fes(h, labels) -> dict:
     result = minimal_fes(h)
     residual = delete_hyperedges(h, result.removed_hyperedges)
     minimal = is_minimal_fes(h, result.removed_hyperedges)
     payload = {
-        "num_vertices": len(h.vertices),
-        "num_hyperedges": h.num_hyperedges,
         "fes": sorted(result.removed_hyperedges),
         "fes_size": len(result.removed_hyperedges),
         "residual_acyclic": is_acyclic(residual),
@@ -170,12 +164,9 @@ def _cmd_fes(args) -> dict:
     return payload
 
 
-def _cmd_solve_acyclic(args) -> dict:
-    h, labels = parse_hypergraph(_read(args.hypergraph_file))
+def _cmd_solve_acyclic(h, labels) -> dict:
     pair = solve_acyclic(h)
     return {
-        "num_vertices": len(h.vertices),
-        "num_hyperedges": h.num_hyperedges,
         "transversal": [labels[v] for v in sorted(pair.transversal)],
         "matching": sorted(pair.matching),
         "transversal_size": len(pair.transversal),
@@ -185,7 +176,7 @@ def _cmd_solve_acyclic(args) -> dict:
 
 
 def _cmd_random_experiment(args) -> dict:
-    spec = ExperimentSpec(n=args.n, p=args.p, trials=args.trials, seed=args.seed, estimator=args.estimator)
+    spec = ExperimentSpec(**{field.name: getattr(args, field.name) for field in dataclasses.fields(ExperimentSpec)})
     if args.csv:
         try:
             # Fail before the trials run, not after; append mode truncates nothing.
@@ -199,13 +190,7 @@ def _cmd_random_experiment(args) -> dict:
         except OSError as ex:
             raise TricoverError(f"cannot write {args.csv}: {ex.strerror}") from ex
     return {
-        "spec": {
-            "n": spec.n,
-            "p": spec.p,
-            "trials": spec.trials,
-            "seed": spec.seed,
-            "estimator": spec.estimator,
-        },
+        "spec": dataclasses.asdict(spec),
         "records": [{column: getattr(r, attr) for column, attr in RECORD_COLUMNS} for r in result.records],
         "aggregates": {
             "applicable_trials": result.applicable_trials,
@@ -225,11 +210,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Built with each parser rather than at import, so a function rebound on
+    # this module (by a test patch or a tracer) is the one dispatched.
+    strategies = {"fvs": cover_via_fvs, "fes": cover_via_fes, "bipartite": cover_via_bipartite, "best": best_cover}
     p = sub.add_parser("cover", help="compute a certified triangle cover of a graph")
     p.add_argument("graph_file")
-    p.add_argument("--strategy", choices=(*STRATEGY_ORDER, "best"), default="best")
+    p.add_argument("--strategy", choices=strategies, default="best")
     p.add_argument("--explain", action="store_true", help="include the cycle-breaking audit trail")
-    p.set_defaults(func=_cmd_cover)
+    p.set_defaults(func=_cmd_cover, strategies=strategies)
 
     p = sub.add_parser("analyze", help="report triangle/edge ratios and condition statuses")
     p.add_argument("graph_file")
@@ -243,14 +231,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("hypergraph_file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_hypergraph, handler=func)
 
     p = sub.add_parser("random-experiment", help="packing/cover statistics over random graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--estimator", choices=("greedy", "steiner-seeded"), default="greedy")
+    p.add_argument("--estimator", choices=ESTIMATORS, default="greedy")
     p.add_argument("--csv", metavar="PATH", help="also write per-trial records as CSV")
     p.set_defaults(func=_cmd_random_experiment)
 

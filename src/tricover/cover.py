@@ -18,6 +18,12 @@ hypergraph, whose vertex ids are the graph's edge ids, so the graph entry
 points build that hypergraph once per call and keep the routes'
 transversals as they are. hypergraph_cover runs the same routes on any
 linear 3-uniform hypergraph without isolated vertices.
+
+Two rules are written once and serve both entry points. `_race` picks the
+winning route for best_cover, hypergraph_cover and condition_report.
+`_packing_condition` turns packing bounds into a condition status for
+hypergraph_cover and condition_report: the paper's graph condition i is
+condition i of the triangle hypergraph.
 """
 
 from __future__ import annotations
@@ -40,8 +46,6 @@ from .hypergraph import (
     triangle_hypergraph,
 )
 from .oracles import HYPERGRAPH_BUDGET, max_matching, max_triangle_packing
-
-STRATEGY_ORDER = ("fvs", "fes", "bipartite")
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,6 @@ def cover_is_valid(g: Graph, cover: frozenset[int]) -> bool:
         adj[u].add(v)
         adj[v].add(u)
     for u, v in keep:
-        if u > v:
-            u, v = v, u
         if any(w > v for w in adj[u] & adj[v]):
             return False
     return True
@@ -146,9 +148,20 @@ def cover_via_bipartite(g: Graph) -> CoverCertificate:
     return CoverCertificate("bipartite", cover, claimed, frozenset(), None)
 
 
-def _all_routes(g: Graph, h: Hypergraph) -> dict[str, CoverCertificate]:
-    """The three routes' certificates on g, whose triangle hypergraph is h, in STRATEGY_ORDER."""
-    return {"fvs": _via_fvs(h), "fes": _via_fes(h), "bipartite": cover_via_bipartite(g)}
+def _race(h: Hypergraph, g: Graph | None = None) -> tuple[CoverCertificate, dict[str, int]]:
+    """The route race on h: the first certificate of least size in route
+    order (fvs, fes, then bipartite when g, whose triangle hypergraph is h,
+    is given), and every route's size in that order."""
+    certs = [_via_fvs(h), _via_fes(h)] + ([cover_via_bipartite(g)] if g is not None else [])
+    return min(certs, key=lambda cert: cert.size), {cert.strategy: cert.size for cert in certs}
+
+
+def _packing_condition(scale: int, total: int, lower: int, exact: int | None) -> str:
+    """Whether packing number * scale >= total. An exact packing number
+    decides it; without one, only the lower bound can prove it "true"."""
+    if exact is not None:
+        return "true" if scale * exact >= total else "false"
+    return "true" if scale * lower >= total else "unknown"
 
 
 def best_cover(g: Graph) -> CoverCertificate:
@@ -157,10 +170,8 @@ def best_cover(g: Graph) -> CoverCertificate:
     Ties prefer fvs, then fes, then bipartite. The chosen certificate records
     all three sizes.
     """
-    certs = _all_routes(g, triangle_hypergraph(g))
-    sizes = {name: certs[name].size for name in STRATEGY_ORDER}
-    winner = min(STRATEGY_ORDER, key=lambda name: sizes[name])
-    return dataclasses.replace(certs[winner], strategy_sizes=dict(sizes))
+    winner, sizes = _race(triangle_hypergraph(g), g)
+    return dataclasses.replace(winner, strategy_sizes=sizes)
 
 
 def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
@@ -184,18 +195,13 @@ def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
         raise IsolatedVertexError(f"isolated vertices not allowed: {sorted(isolated)}")
 
     m = h.num_hyperedges
-    if 3 * len(_first_fit(h.hyperedges)) >= m:
-        cond_i = "true"
-    elif m <= HYPERGRAPH_BUDGET.max_edges:
-        nu, _ = max_matching(h)
-        cond_i = "true" if 3 * nu >= m else "false"
-    else:
-        cond_i = "unknown"
-    cond_ii = "true" if len(h.vertices) >= 2 * m else "false"
-    conditions = {"i": cond_i, "ii": cond_ii}
-
-    fvs, fes = _via_fvs(h), _via_fes(h)
-    return dataclasses.replace(fes if fes.size < fvs.size else fvs, conditions=conditions)
+    lower = len(_first_fit(h.hyperedges))
+    exact = max_matching(h)[0] if 3 * lower < m <= HYPERGRAPH_BUDGET.max_edges else None
+    conditions = {
+        "i": _packing_condition(3, m, lower, exact),
+        "ii": "true" if len(h.vertices) >= 2 * m else "false",
+    }
+    return dataclasses.replace(_race(h)[0], conditions=conditions)
 
 
 @dataclass(frozen=True)
@@ -243,25 +249,10 @@ def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
     if use_oracle:
         nu_exact, _ = max_triangle_packing(g)
 
-    cover_sizes = {name: cert.size for name, cert in _all_routes(g, h).items()}
-    nu_upper = min(cover_sizes.values())
-
-    def status(scale: int, total: int, degenerate: bool) -> str:
-        # Condition: packing number * scale >= total.
-        if degenerate:
-            return "not-applicable"
-        if nu_exact is not None:
-            return "true" if scale * nu_exact >= total else "false"
-        if scale * nu_lower >= total:
-            return "true"
-        return "unknown"
-
-    cond_i = status(3, num_t, num_t == 0)
-    cond_ii = status(4, num_e, num_e == 0)
-    if num_t == 0:
-        cond_iii = "not-applicable"
-    else:
-        cond_iii = "true" if num_e_irr >= 2 * num_t else "false"
+    winner, cover_sizes = _race(h, g)
+    cond_i = _packing_condition(3, num_t, nu_lower, nu_exact) if num_t else "not-applicable"
+    cond_ii = _packing_condition(4, num_e, nu_lower, nu_exact) if num_e else "not-applicable"
+    cond_iii = ("true" if num_e_irr >= 2 * num_t else "false") if num_t else "not-applicable"
 
     ratios: dict[str, Fraction | None] = {
         "nu_over_triangles": Fraction(nu_exact, num_t) if nu_exact is not None and num_t else None,
@@ -275,7 +266,7 @@ def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
         num_irreducible_edges=num_e_irr,
         nu_lower=nu_lower,
         nu_exact=nu_exact,
-        nu_upper=nu_upper,
+        nu_upper=winner.size,
         cover_sizes=cover_sizes,
         cond_i=cond_i,
         cond_ii=cond_ii,

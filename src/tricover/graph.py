@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """A triangle, stored as its sorted vertex triple and sorted edge-id triple."""
 
     vertices: tuple[int, int, int]
@@ -60,18 +59,19 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges]))
+        # One pass over the sorted pairs: a duplicate sits right after its twin.
+        before = None
+        for pair in self.edges:
+            u, v = pair
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if u < 0 or v >= n:
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
+            if pair == before:
                 raise ValueError(f"duplicate edge {pair}")
-            seen.add(pair)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+            before = pair
         self._edge_index = {pair: i for i, pair in enumerate(self.edges)}
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in self.edges:

@@ -209,50 +209,41 @@ def min_feedback_edge_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGE
     return _min_feedback_set(h, budget, vertices=False)
 
 
+def _quasigroup_triples(q: int, star) -> list[tuple[int, int, int]]:
+    """The triples {(i, k), (j, k), (i*j, k+1)} for i < j in Z_q and k in
+    Z_3, where i*j is star(i, j) and point (i, k) is i + k*q."""
+    return [
+        (i + k * q, j + k * q, star(i, j) + (k + 1) % 3 * q)
+        for i in range(q)
+        for j in range(i + 1, q)
+        for k in range(3)
+    ]
+
+
 def _bose_triples(n: int) -> list[tuple[int, int, int]]:
     """Triangle decomposition of K_n for n = 3 (mod 6), built over Z_q x {0,1,2}
     with q = n/3 odd, using the idempotent symmetric quasigroup
     i*j = (i+j)/2 mod q."""
     q = n // 3
     half = (q + 1) // 2  # multiplicative inverse of 2 mod q
-
-    def pt(i: int, k: int) -> int:
-        return i + k * q
-
-    triples = [(pt(i, 0), pt(i, 1), pt(i, 2)) for i in range(q)]
-    for i in range(q):
-        for j in range(i + 1, q):
-            m = ((i + j) * half) % q
-            for k in range(3):
-                triples.append((pt(i, k), pt(j, k), pt(m, (k + 1) % 3)))
-    return triples
+    return [(i, i + q, i + 2 * q) for i in range(q)] + _quasigroup_triples(q, lambda i, j: (i + j) * half % q)
 
 
 def _skolem_triples(n: int) -> list[tuple[int, int, int]]:
     """Triangle decomposition of K_n for n = 1 (mod 6), built over
-    Z_q x {0,1,2} plus one extra point, q = (n-1)/3 even, using a
-    half-idempotent symmetric quasigroup."""
+    Z_q x {0,1,2} plus the extra point n-1, q = (n-1)/3 even, using the
+    half-idempotent symmetric quasigroup i*j = s/2 for even s = (i+j) mod q,
+    t + (s-1)/2 for odd s, where t = q/2."""
     q = (n - 1) // 3
     t = q // 2
-    inf = n - 1
 
     def star(i: int, j: int) -> int:
-        s = (i + j) % q
-        return s // 2 if s % 2 == 0 else t + (s - 1) // 2
+        half, odd = divmod((i + j) % q, 2)
+        return half + t * odd
 
-    def pt(i: int, k: int) -> int:
-        return i + k * q
-
-    triples = [(pt(i, 0), pt(i, 1), pt(i, 2)) for i in range(t)]
-    for i in range(t):
-        for k in range(3):
-            triples.append((inf, pt(i + t, k), pt(i, (k + 1) % 3)))
-    for i in range(q):
-        for j in range(i + 1, q):
-            m = star(i, j)
-            for k in range(3):
-                triples.append((pt(i, k), pt(j, k), pt(m, (k + 1) % 3)))
-    return triples
+    triples = [(i, i + q, i + 2 * q) for i in range(t)]
+    triples += [(n - 1, i + t + k * q, i + (k + 1) % 3 * q) for i in range(t) for k in range(3)]
+    return triples + _quasigroup_triples(q, star)
 
 
 def steiner_triple_system(n: int) -> PackingWitness:
@@ -262,7 +253,7 @@ def steiner_triple_system(n: int) -> PackingWitness:
     witness uses the edge ids of complete_graph(n) without building it: edge
     (a, b), a < b, has id a*(2n-a-1)//2 + b - a - 1. The same pass checks that
     each triple is 0 <= a < b < c < n, that no edge is covered twice and that
-    there are C(n, 2)/3 triples, else InvariantError; about 0.7 ms at n = 49.
+    there are C(n, 2)/3 triples, else InvariantError.
     """
     if n < 3 or n % 6 not in (1, 3):
         raise ValueError(f"no triangle decomposition of K_{n}: need n = 1 or 3 (mod 6), n >= 3")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tricover.cover
 from tricover import (
     Graph,
     Hypergraph,
@@ -34,8 +35,9 @@ from tricover import (
 )
 from tricover.graph import _first_fit
 from tricover.graph import _triangle_scan
+from tricover.oracles import HYPERGRAPH_BUDGET
 
-from generators import book_graph, small_graph_corpus, two_regular_fixtures
+from generators import book_graph, random_linear_3_uniform, small_graph_corpus, two_regular_fixtures
 
 
 def assert_certificate_sound(g: Graph, cert) -> None:
@@ -235,6 +237,24 @@ class TestHypergraphCover:
             if "true" in (cert.conditions["i"], cert.conditions["ii"]):
                 assert cert.size <= 2 * nu
 
+    def test_oracle_runs_only_below_the_budget_when_greedy_falls_short(self, monkeypatch):
+        def oracle(h, *args):
+            raise AssertionError(f"max_matching called on {h.num_hyperedges} hyperedges")
+
+        monkeypatch.setattr(tricover.cover, "max_matching", oracle)
+        for seed, num_vertices, m, status in [(0, 16, 20, "unknown"), (5, 25, 18, "true")]:
+            h = random_linear_3_uniform(random.Random(seed), num_vertices, m)
+            assert h.num_hyperedges == m > HYPERGRAPH_BUDGET.max_edges
+            assert not h.vertices - h.non_isolated_vertices()
+            # Greedy falls short of m/3 exactly when the status is not "true".
+            assert (3 * len(_first_fit(h.hyperedges)) >= m) == (status == "true")
+            assert hypergraph_cover(h).conditions["i"] == status
+        # Within the budget a greedy matching that proves it still skips the
+        # oracle, and a short one sends Fano to it.
+        assert hypergraph_cover(Hypergraph(range(3), [(0, 1, 2)])).conditions["i"] == "true"
+        with pytest.raises(AssertionError, match="on 7 hyperedges"):
+            hypergraph_cover(fano_plane())
+
 
 class TestConditionReport:
     def test_k4_with_oracle(self):
@@ -275,6 +295,20 @@ class TestConditionReport:
         for g in small_graph_corpus(seed=73, count=15):
             r = condition_report(g, use_oracle=True)
             assert r.nu_lower <= r.nu_exact <= r.nu_upper
+
+    def test_graph_conditions_are_the_triangle_hypergraph_conditions(self):
+        # The paper's reduction: on an irreducible graph, condition i is the
+        # triangle hypergraph's nu >= m/3 and condition iii its |V'| >= 2m.
+        seen = set()
+        graphs = [irreducible_subgraph(g) for g in small_graph_corpus(seed=17, count=250)]
+        graphs = [g for g in graphs if 1 <= len(enumerate_triangles(g)) <= HYPERGRAPH_BUDGET.max_edges]
+        assert len(graphs) >= 150
+        for g in graphs:
+            r = condition_report(g, use_oracle=True)
+            conditions = hypergraph_cover(triangle_hypergraph(g)).conditions
+            assert (r.cond_i, r.cond_iii) == (conditions["i"], conditions["ii"])
+            seen.add((r.cond_i, r.cond_iii))
+        assert seen == {("true", "true"), ("true", "false"), ("false", "false")}
 
     def test_raw_and_irreducible_ratios_differ_on_pendants(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])

@@ -113,6 +113,8 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, [(-1, 0)])
 
     def test_edge_ids_are_insertion_order_independent(self):
         a = Graph(4, [(0, 1), (2, 3), (1, 2)])

@@ -387,16 +387,23 @@ class TestParser:
     @pytest.mark.parametrize(
         "name, handler", [("fvs", "_cmd_fvs"), ("fes", "_cmd_fes"), ("solve-acyclic", "_cmd_solve_acyclic")]
     )
-    def test_hypergraph_commands_dispatch_to_their_own_handler(self, monkeypatch, name, handler):
+    def test_hypergraph_commands_dispatch_to_their_own_handler(self, monkeypatch, capsys, tmp_path, name, handler):
         called = []
 
         def recorder(cmd):
-            return lambda args: called.append((cmd, args.hypergraph_file)) or {}
+            return lambda h, labels: called.append((cmd, h.num_hyperedges, len(labels))) or {"handler": cmd}
 
         for cmd in ("_cmd_fvs", "_cmd_fes", "_cmd_solve_acyclic"):
             monkeypatch.setattr(tricover.cli, cmd, recorder(cmd))
-        assert main([name, "h.txt"]) == 0
-        assert called == [(handler, "h.txt")]
+        path = tmp_path / "fano.txt"
+        path.write_text(FANO_TEXT)
+        code, out, _ = run_cli(capsys, name, str(path))
+        assert code == 0
+        assert called == [(handler, 7, 7)]
+        # The shared reader puts both counts before the handler's fields.
+        assert list(json.loads(out).items()) == [
+            ("schema", 1), ("command", name), ("num_vertices", 7), ("num_hyperedges", 7), ("handler", handler)
+        ]
 
 
 class TestDeterminism:
