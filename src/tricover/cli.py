@@ -27,16 +27,10 @@ from .cover import (
     cover_via_fes,
     cover_via_fvs,
 )
-from .cyclebreak import _feedback_vertex_set, fes_size_bound, is_minimal_fes, minimal_fes
-from .errors import (
-    BudgetExceededError,
-    GraphFormatError,
-    NotLinearError,
-    NotThreeUniformError,
-    TricoverError,
-)
+from .cyclebreak import feedback_vertex_set, fes_size_bound, is_minimal_fes, minimal_fes
+from .errors import BudgetExceededError, GraphFormatError, TricoverError
 from .experiment import ESTIMATORS, RECORD_COLUMNS, ExperimentSpec, run_experiment, write_csv
-from .hypergraph import delete_hyperedges, delete_vertices, is_acyclic, is_k_uniform, is_linear, triangle_hypergraph
+from .hypergraph import delete_hyperedges, delete_vertices, is_acyclic, triangle_hypergraph
 from .io import parse_graph, parse_hypergraph
 
 SCHEMA = 1
@@ -128,11 +122,7 @@ def _cmd_hypergraph(args) -> dict:
 
 
 def _cmd_fvs(h, labels) -> dict:
-    if not is_k_uniform(h, 3):
-        raise NotThreeUniformError("not 3-uniform")
-    if not is_linear(h):
-        raise NotLinearError("not linear")
-    result = _feedback_vertex_set(h)
+    result = feedback_vertex_set(h)
     residual = delete_vertices(h, result.removed_vertices)
     bound = h.num_hyperedges // 3
     return {
@@ -147,21 +137,16 @@ def _cmd_fvs(h, labels) -> dict:
 def _cmd_fes(h, labels) -> dict:
     result = minimal_fes(h)
     residual = delete_hyperedges(h, result.removed_hyperedges)
-    minimal = is_minimal_fes(h, result.removed_hyperedges)
-    payload = {
+    size = len(result.removed_hyperedges)
+    bound = fes_size_bound(h)
+    return {
         "fes": sorted(result.removed_hyperedges),
-        "fes_size": len(result.removed_hyperedges),
+        "fes_size": size,
         "residual_acyclic": is_acyclic(residual),
-        "minimal": minimal,
+        "minimal": is_minimal_fes(h, result.removed_hyperedges),
+        "bound": bound,
+        "bound_holds": None if bound is None else size <= bound,
     }
-    if is_k_uniform(h, 3) and is_linear(h):
-        bound = fes_size_bound(h)
-        payload["bound"] = bound
-        payload["bound_holds"] = len(result.removed_hyperedges) <= bound
-    else:
-        payload["bound"] = None
-        payload["bound_holds"] = None
-    return payload
 
 
 def _cmd_solve_acyclic(h, labels) -> dict:

@@ -34,17 +34,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .acyclic import DualPair, solve_acyclic
-from .cyclebreak import _feedback_vertex_set, minimal_fes
-from .errors import IsolatedVertexError, NotLinearError, NotThreeUniformError
+from .cyclebreak import _feedback_vertex_set, _require_linear_3_uniform, minimal_fes
+from .errors import IsolatedVertexError
 from .graph import Graph, _first_fit, bipartite_cut_cover
-from .hypergraph import (
-    Hypergraph,
-    delete_hyperedges,
-    delete_vertices,
-    is_k_uniform,
-    is_linear,
-    triangle_hypergraph,
-)
+from .hypergraph import Hypergraph, delete_hyperedges, delete_vertices, triangle_hypergraph
 from .oracles import HYPERGRAPH_BUDGET, max_matching, max_triangle_packing
 
 
@@ -186,10 +179,7 @@ def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
       or the exact oracle within HYPERGRAPH_BUDGET decides it, else "unknown");
     * condition ii: |vertices| >= 2 |hyperedges| (always decided exactly).
     """
-    if not is_k_uniform(h, 3):
-        raise NotThreeUniformError("hypergraph_cover requires a 3-uniform hypergraph")
-    if not is_linear(h):
-        raise NotLinearError("hypergraph_cover requires a linear hypergraph")
+    _require_linear_3_uniform(h)
     isolated = h.vertices - h.non_isolated_vertices()
     if isolated:
         raise IsolatedVertexError(f"isolated vertices not allowed: {sorted(isolated)}")

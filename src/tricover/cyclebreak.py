@@ -84,13 +84,21 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     Every rule removes at least three hyperedges per taken vertex, which gives
     the floor(m/3) bound. Rule 2 searches for a cycle through a hyperedge
     only when the 2-core peel kept it and no cycle found earlier still runs
-    through it. A result that leaves a cycle raises InvariantError.
+    through it. A result that leaves a cycle raises InvariantError. Input
+    that is not 3-uniform raises NotThreeUniformError, and 3-uniform input
+    that is not linear NotLinearError.
     """
-    if not is_k_uniform(h, 3):
-        raise NotThreeUniformError("feedback_vertex_set requires a 3-uniform hypergraph")
-    if not is_linear(h):
-        raise NotLinearError("feedback_vertex_set requires a linear hypergraph")
+    _require_linear_3_uniform(h)
     return _feedback_vertex_set(h)
+
+
+def _require_linear_3_uniform(h: Hypergraph) -> None:
+    """The one precondition of both cycle-breaking bounds: raise
+    NotThreeUniformError, then NotLinearError, unless h is linear and 3-uniform."""
+    if not is_k_uniform(h, 3):
+        raise NotThreeUniformError("not 3-uniform")
+    if not is_linear(h):
+        raise NotLinearError("not linear")
 
 
 def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
@@ -250,10 +258,15 @@ def is_minimal_fes(h: Hypergraph, removed: Collection[int]) -> bool:
     return all(forest.closes_cycle(h.hyperedge(f)) for f in removed)
 
 
-def fes_size_bound(h: Hypergraph) -> int:
+def fes_size_bound(h: Hypergraph) -> int | None:
     """The guaranteed bound 2m - |V'| + p for a minimal feedback edge set of a
     linear 3-uniform hypergraph: V' = non-isolated vertices, p = number of
-    components containing at least one hyperedge."""
+    components containing at least one hyperedge. None when h is not linear
+    and 3-uniform, where no bound is guaranteed."""
+    try:
+        _require_linear_3_uniform(h)
+    except (NotThreeUniformError, NotLinearError):
+        return None
     non_isolated = h.non_isolated_vertices()
     p = sum(1 for c in components(h) if c.hyperedge_ids)
     return 2 * h.num_hyperedges - len(non_isolated) + p

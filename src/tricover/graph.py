@@ -256,10 +256,10 @@ def gadget_augment(g: Graph, k: int, gadget: str) -> Graph:
         raise ValueError("gadget count must be nonnegative")
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
-    out = g
-    for _ in range(k):
-        out = disjoint_union(out, complete_graph(GADGETS[gadget]))
-    return out
+    size = GADGETS[gadget]
+    pairs = complete_graph(size).edges
+    shifted = [(u + at, v + at) for at in range(g.n, g.n + k * size, size) for u, v in pairs]
+    return Graph(g.n + k * size, list(g.edges) + shifted)
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:

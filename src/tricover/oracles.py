@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, InvariantError
 from .graph import Graph, PackingWitness, Triangle, _first_fit, enumerate_triangles
-from .hypergraph import Hypergraph, delete_hyperedges, delete_vertices, is_acyclic, on_cycle_elements
+from .hypergraph import Hypergraph, _Forest, on_cycle_elements
 
 
 @dataclass(frozen=True)
@@ -179,19 +179,25 @@ def min_transversal(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> 
 
 def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tuple[int, frozenset[int]]:
     """Exact minimum set of on-cycle vertices (or hyperedges) whose deletion
-    leaves h acyclic: the first hit of an ordered subset search by size."""
+    leaves h acyclic: the first hit of an ordered subset search by size.
+
+    Each subset is tested by one union-find pass over the hyperedges it
+    spares, with no hypergraph built."""
     _check_size(h.num_hyperedges, budget, "hypergraph")
     search = _Search(budget)
     verts_on, edges_on = on_cycle_elements(h)
     candidates = sorted(verts_on if vertices else edges_on)
     if not candidates:
         return 0, frozenset()
-    delete = delete_vertices if vertices else delete_hyperedges
+    edges = list(zip(h.hyperedge_ids, h.hyperedges))
     for k in range(1, len(candidates) + 1):
         for combo in combinations(candidates, k):
             search.tick()
-            if is_acyclic(delete(h, combo)):
-                return k, frozenset(combo)
+            drop = frozenset(combo)
+            spared = (e for eid, e in edges if (drop.isdisjoint(e) if vertices else eid not in drop))
+            forest = _Forest()
+            if all(forest.link(e) for e in spared):
+                return k, drop
     raise InvariantError("deleting every on-cycle element left a cycle")
 
 

@@ -23,6 +23,7 @@ from tricover import (
     disjoint_union,
     enumerate_triangles,
     fano_plane,
+    feedback_vertex_set,
     greedy_triangle_packing,
     hypergraph_cover,
     irreducible_subgraph,
@@ -224,10 +225,13 @@ class TestHypergraphCover:
             hypergraph_cover(h)
 
     def test_rejects_non_linear_and_non_uniform(self):
-        with pytest.raises(NotLinearError):
-            hypergraph_cover(Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)]))
-        with pytest.raises(NotThreeUniformError):
-            hypergraph_cover(Hypergraph(range(4), [(0, 1, 2, 3)]))
+        # One gate: the same exception type and message as feedback_vertex_set.
+        for h in (Hypergraph(range(4), [(0, 1, 2, 3)]), Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)])):
+            with pytest.raises((NotThreeUniformError, NotLinearError)) as fvs_error:
+                feedback_vertex_set(h)
+            with pytest.raises(type(fvs_error.value)) as cover_error:
+                hypergraph_cover(h)
+            assert str(cover_error.value) == str(fvs_error.value)
 
     def test_two_regular_fixtures_are_transversals(self):
         for h in two_regular_fixtures():

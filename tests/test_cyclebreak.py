@@ -83,12 +83,17 @@ class TestFeedbackVertexSet:
 
     def test_rejects_non_three_uniform(self):
         h = Hypergraph(range(4), [(0, 1, 2, 3)])
-        with pytest.raises(NotThreeUniformError):
+        with pytest.raises(NotThreeUniformError, match="^not 3-uniform$"):
             feedback_vertex_set(h)
 
     def test_rejects_non_linear(self):
         h = Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)])
-        with pytest.raises(NotLinearError):
+        with pytest.raises(NotLinearError, match="^not linear$"):
+            feedback_vertex_set(h)
+
+    def test_uniformity_is_checked_before_linearity(self):
+        h = Hypergraph(range(5), [(0, 1, 2), (0, 1, 3, 4)])
+        with pytest.raises(NotThreeUniformError, match="^not 3-uniform$"):
             feedback_vertex_set(h)
 
     def test_suite_bound_and_acyclic_residual(self):
@@ -509,3 +514,9 @@ class TestStructuralCounts:
 
     def test_fes_bound_formula_on_fano(self):
         assert fes_size_bound(fano_plane()) == 2 * 7 - 7 + 1
+
+    @pytest.mark.parametrize(
+        "h", [Hypergraph(range(4), [(0, 1, 2, 3)]), Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)])], ids=["non-uniform", "non-linear"]
+    )
+    def test_fes_bound_is_none_off_its_domain(self, h):
+        assert fes_size_bound(h) is None

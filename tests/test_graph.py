@@ -410,6 +410,15 @@ class TestGeneratorsAndGadgets:
         assert g.num_edges == 3 + 20
         assert len(enumerate_triangles(g)) == 1 + 20
 
+    @pytest.mark.parametrize("gadget, size", [("K4", 4), ("K5", 5)])
+    @pytest.mark.parametrize("k", range(5))
+    def test_gadget_augment_is_the_iterated_disjoint_union(self, gadget, size, k):
+        expected = book_graph(2)
+        for _ in range(k):
+            expected = disjoint_union(expected, complete_graph(size))
+        g = gadget_augment(book_graph(2), k, gadget)
+        assert g.n == expected.n and g.edges == expected.edges
+
     def test_gadget_augment_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown gadget"):
             gadget_augment(complete_graph(3), 1, "K6")

@@ -6,7 +6,10 @@ import tricover.cli
 from tricover import (
     GraphFormatError,
     InvariantError,
+    NotLinearError,
+    NotThreeUniformError,
     TricoverError,
+    feedback_vertex_set,
     parse_graph,
     parse_hypergraph,
 )
@@ -236,6 +239,18 @@ class TestHypergraphCommands:
         assert code == 3
         assert "not linear" in err
 
+    @pytest.mark.parametrize("text", ["a b\nb c d\n", "a b c\na b d\n"], ids=["non-uniform", "non-linear"])
+    def test_fvs_and_fes_follow_the_library_off_its_domain(self, capsys, tmp_path, text):
+        h, _ = parse_hypergraph(text)
+        with pytest.raises((NotThreeUniformError, NotLinearError)) as library:
+            feedback_vertex_set(h)
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        assert run_cli(capsys, "fvs", str(path)) == (3, "", f"error: {library.value}\n")
+        code, out, _ = run_cli(capsys, "fes", str(path))
+        assert code == 0
+        assert '"bound": null' in out and '"bound_holds": null' in out
+
     def test_fes_on_acyclic_is_empty(self, capsys, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("a b c\nc d e\n")
@@ -259,7 +274,7 @@ class TestHypergraphCommands:
         def broken(h):
             raise InvariantError("broken invariant")
 
-        monkeypatch.setattr(tricover.cli, "_feedback_vertex_set", broken)
+        monkeypatch.setattr(tricover.cli, "feedback_vertex_set", broken)
         with pytest.raises(InvariantError):
             main(["fvs", fano_file])
 
@@ -267,7 +282,7 @@ class TestHypergraphCommands:
         def broken(h):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr(tricover.cli, "_feedback_vertex_set", broken)
+        monkeypatch.setattr(tricover.cli, "feedback_vertex_set", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["fvs", fano_file])
 

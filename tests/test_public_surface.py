@@ -125,3 +125,26 @@ class TestUnusedImports:
     def test_guard_reads_annotations(self):
         source = "from __future__ import annotations\nfrom typing import Mapping\n\ndef f(x: Mapping) -> None: ...\n"
         assert unused_imports(source) == []
+
+
+def private_package_imports(source: str) -> list[str]:
+    """`_`-prefixed names a module imports from a tricover module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "tricover")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+class TestCliUsesThePublicSurface:
+    def test_cli_imports_no_private_name(self):
+        assert private_package_imports((PACKAGE / "cli.py").read_text()) == []
+
+    def test_guard_catches_a_private_import(self):
+        source = "from .cyclebreak import _feedback_vertex_set, minimal_fes\nfrom tricover.graph import _first_fit\n"
+        assert private_package_imports(source) == ["_feedback_vertex_set", "_first_fit"]
+
+    def test_guard_ignores_other_packages(self):
+        assert private_package_imports("from os import _exit\nfrom __future__ import annotations\n") == []
