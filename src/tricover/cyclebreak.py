@@ -22,6 +22,7 @@ from typing import Collection
 from .errors import InvariantError, NotLinearError, NotThreeUniformError
 from .hypergraph import (
     Hypergraph,
+    _acyclic,
     _Forest,
     _shortest_cycle,
     _WorkingState,
@@ -223,8 +224,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             state.drop_edge(eid)
 
     trace.append(("base", ()))
-    forest = _Forest()
-    if not all(forest.link(e) for e in h.hyperedges if removed.isdisjoint(e)):
+    if not _acyclic(e for e in h.hyperedges if removed.isdisjoint(e)):
         raise InvariantError("the removed vertices leave a cycle")
     return FvsResult(frozenset(removed), tuple(trace))
 

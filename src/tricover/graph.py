@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 
@@ -242,9 +243,10 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    shifted = ((u + a.n, v + a.n) for u, v in b.edges)
-    return Graph(a.n + b.n, list(a.edges) + list(shifted))
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each one's vertex ids shifted past those before it."""
+    offsets = list(accumulate((g.n for g in graphs), initial=0))
+    return Graph(offsets[-1], [(u + at, v + at) for g, at in zip(graphs, offsets) for u, v in g.edges])
 
 
 GADGETS = {"K4": 4, "K5": 5}
@@ -256,10 +258,7 @@ def gadget_augment(g: Graph, k: int, gadget: str) -> Graph:
         raise ValueError("gadget count must be nonnegative")
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
-    size = GADGETS[gadget]
-    pairs = complete_graph(size).edges
-    shifted = [(u + at, v + at) for at in range(g.n, g.n + k * size, size) for u, v in pairs]
-    return Graph(g.n + k * size, list(g.edges) + shifted)
+    return disjoint_union(g, *[complete_graph(GADGETS[gadget])] * k)
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:

@@ -225,8 +225,13 @@ class _Forest:
 
 def is_acyclic(h: Hypergraph) -> bool:
     """True when h has no cycle, i.e. its incidence graph is a forest."""
+    return _acyclic(h.hyperedges)
+
+
+def _acyclic(hyperedges: Iterable[frozenset[int]]) -> bool:
+    """True when the given hyperedges form no cycle: one union-find pass."""
     forest = _Forest()
-    return all(forest.link(e) for e in h.hyperedges)
+    return all(forest.link(e) for e in hyperedges)
 
 
 class _WorkingState:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, InvariantError
 from .graph import Graph, PackingWitness, Triangle, _first_fit, enumerate_triangles
-from .hypergraph import Hypergraph, _Forest, on_cycle_elements
+from .hypergraph import Hypergraph, _acyclic, on_cycle_elements
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,7 @@ def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tu
         for combo in combinations(candidates, k):
             search.tick()
             drop = frozenset(combo)
-            spared = (e for eid, e in edges if (drop.isdisjoint(e) if vertices else eid not in drop))
-            forest = _Forest()
-            if all(forest.link(e) for e in spared):
+            if _acyclic(e for eid, e in edges if (drop.isdisjoint(e) if vertices else eid not in drop)):
                 return k, drop
     raise InvariantError("deleting every on-cycle element left a cycle")
 
