@@ -40,6 +40,10 @@ def _cases() -> dict[str, list[str]]:
             cases[f"{name}-cover-{strategy}-explain"] = ["cover", path, "--strategy", strategy, "--explain"]
         cases[f"{name}-analyze"] = ["analyze", path]
         cases[f"{name}-analyze-oracle"] = ["analyze", path, "--oracle"]
+    # The edges of random_gnp(16, 0.95, 1): a dense graph whose FVS trace is
+    # mostly rule 3 and rule-2 drops, so it pins the cycle searches' effect.
+    for strategy in ("best", "fvs"):
+        cases[f"gnp16_dense-cover-{strategy}-explain"] = ["cover", "gnp16_dense.txt", "--strategy", strategy, "--explain"]
     for name in HYPERGRAPHS:
         for command in ("fvs", "fes", "solve-acyclic"):
             cases[f"{name}-{command}"] = [command, f"{name}.txt"]
