@@ -261,9 +261,22 @@ class _WorkingState:
     hypergraphs about a twentieth as many searches re-certify a survivor as
     in ascending id order. On-cycle sets are unique, so the order changes
     no answer.
+
+    The search marks live here, allocated once per state and reused by
+    every _certify, so a search allocates no dict: per vertex id, _region
+    (its region's stamp) and _via (the hyperedge it was reached by); per
+    hyperedge id, _edge_stamp (of the search that entered it) and _entered
+    (the vertex it was entered from). Each search takes stamps above every
+    earlier one, so a mark older than its own reads as unset. The marks are
+    lists indexed by id when the ids are non-negative and below four times
+    their count, as the ids of triangle hypergraphs and parsed files are;
+    otherwise they are dicts over the ids, read with the same subscripts.
     """
 
-    __slots__ = ("edges", "incident", "live", "certified", "_through", "_voided", "_peeled")
+    __slots__ = (
+        "edges", "incident", "live", "certified", "_through", "_voided", "_peeled",
+        "_region", "_via", "_edge_stamp", "_entered", "_next_base",
+    )
 
     def __init__(self, h: Hypergraph):
         self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
@@ -272,6 +285,9 @@ class _WorkingState:
         self.certified = self.live.keys()
         self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
         self._voided = list(reversed(self.edges))  # to search at the next off_cycle; highest id first
+        self._region, self._via = _marks(h.vertices)
+        self._edge_stamp, self._entered = _marks(self.edges)
+        self._next_base = 1  # every mark starts at 0, below it
         # degree: per vertex, its hyperedges not yet popped off the stack;
         # shared: per unpeeled hyperedge, its members of degree 2 or more.
         degree = {v: len(eids) for v, eids in self.incident.items()}
@@ -330,31 +346,44 @@ class _WorkingState:
         closed there. A region with nothing left to expand has entered all
         hyperedges at its vertices, so no other can meet it: the search
         fails when fewer than two regions can still expand.
+
+        The search allocates no dict: it marks vertices and hyperedges in
+        the state's marks, which are lists, or dicts when the ids are not
+        dense (the class says when). It stamps the hyperedges it enters with
+        base and the vertices of region r with base + r, and the next search
+        starts above them, so a vertex whose region stamp is below base, or
+        a hyperedge whose stamp is not base, is not reached yet.
         """
         edges, incident, live, through = self.edges, self.incident, self.live, self._through
+        region, via, edge_stamp, entered = self._region, self._via, self._edge_stamp, self._entered
         members = sorted(edges[eid])
-        region = {v: r for r, v in enumerate(members)}
-        via = dict.fromkeys(members)  # vertex -> hyperedge it was reached by
-        entered = {eid: None}  # hyperedge -> vertex it was entered from
+        base = self._next_base
+        self._next_base = base + len(members) + 1
+        for r, v in enumerate(members):
+            region[v] = base + r
+            via[v] = None
+        edge_stamp[eid] = base
         queued = [1] * len(members)  # queued vertices per region
         expanding = len(members)  # regions with a queued vertex
         queue = deque(members)
         closed = False
         while expanding > 1:
             x = queue.popleft()
-            r = region[x]
+            rx = region[x]
+            r = rx - base
             for f in incident[x]:
-                if f in entered:
+                if edge_stamp[f] == base:
                     continue
+                edge_stamp[f] = base
                 entered[f] = x
                 for w in edges[f]:
-                    s = region.get(w)
-                    if s is None:
-                        region[w] = r
+                    s = region[w]
+                    if s < base:
+                        region[w] = rx
                         via[w] = f
                         queue.append(w)
                         queued[r] += 1
-                    elif s != r:
+                    elif s != rx:
                         cycle = [eid, f]
                         for end in (x, w):
                             while (g := via[end]) is not None:
@@ -369,6 +398,17 @@ class _WorkingState:
             queued[r] -= 1
             expanding -= not queued[r]
         return False
+
+
+def _marks(ids: Collection[int]) -> tuple[list | dict, list | dict]:
+    """Two fresh mark stores for ids, every mark 0: lists indexed by id when
+    the ids are non-negative and below four times their count, which keeps
+    a list no larger than a dict over the same ids; dicts over the ids
+    otherwise, so no list is sized by a large or negative id."""
+    top = max(ids, default=-1)
+    if min(ids, default=0) >= 0 and top < 4 * len(ids):
+        return [0] * (top + 1), [0] * (top + 1)
+    return dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
 
 
 def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:

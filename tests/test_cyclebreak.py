@@ -466,6 +466,84 @@ class TestCycleCertificates:
         assert out.splitlines() == ["1 the removed vertices leave a cycle"] * 2
 
 
+class TestSearchMarks:
+    """The working copy keeps its search marks in lists indexed by id when
+    the ids are dense, and in dicts over the ids otherwise. Relabelled input
+    that takes the dicts must give the answers of its ascending renumbering
+    to 0..n-1, relabelled."""
+
+    # Each relabelling is increasing, so every order FVS reads is kept; each
+    # puts one kind of id outside the range the lists take.
+    RELABEL = {
+        "negative_vertices": (lambda v, n: v - n, lambda e, m: e),
+        "sparse_vertices": (lambda v, n: 5 * v + 4, lambda e, m: e),
+        # 2**40 list slots would not fit in memory.
+        "huge_vertex": (lambda v, n: v if v < n - 1 else 2**40, lambda e, m: e),
+        "sparse_hyperedges": (lambda v, n: v, lambda e, m: 5 * e + 4),
+    }
+
+    @staticmethod
+    def map_trace(trace, vmap, emap):
+        """The trace with its vertex and hyperedge ids relabelled; a
+        break_cycle step starts with the cycle length."""
+        maps = {"v": vmap.__getitem__, "e": emap.__getitem__, "k": int}
+        out = []
+        for name, ids in trace:
+            if name == "drop_off_cycle_hyperedge":
+                kinds = "e"
+            elif name == "take_vertex_past_pendant_edge":
+                kinds = "veeev"
+            elif name.startswith("break_cycle"):
+                kinds = "k" + "v" * (len(ids) - 1)
+            else:
+                kinds = "v" * len(ids)
+            out.append((name, tuple(maps[k](x) for k, x in zip(kinds, ids))))
+        return tuple(out)
+
+    @pytest.mark.parametrize("relabel", sorted(RELABEL))
+    def test_dict_marks_give_the_answers_of_the_renumbering(self, relabel):
+        rng = random.Random(f"marks/{relabel}")
+        suite = [fano_plane(), *random_cubic_duals(seed=95, count=20), *mixed_linear_corpus(seed=96, count=40)]
+        # Bridged blocks have off-cycle hyperedges whose members all lie on cycles.
+        suite += [bridged_blocks(), *(random_bridged_blocks(rng, rng.randint(3, 9)) for _ in range(10))]
+        suite += [
+            triangle_hypergraph(random_gnp(rng.randint(6, 13), rng.uniform(0.3, 0.95), rng.randrange(1 << 30)))
+            for _ in range(20)
+        ]
+        vrel, erel = self.RELABEL[relabel]
+        rules: set[str] = set()
+        for h in suite:
+            # The ascending renumbering, with hyperedge ids 0..m-1.
+            rank = {v: i for i, v in enumerate(sorted(h.vertices))}
+            plain = Hypergraph(range(len(rank)), [[rank[v] for v in e] for e in h.hyperedges])
+            n, m = len(rank), plain.num_hyperedges
+            vmap = {v: vrel(v, n) for v in plain.vertices}
+            emap = {e: erel(e, m) for e in plain.hyperedge_ids}
+            moved = Hypergraph._from_parts(
+                frozenset(vmap.values()),
+                {emap[eid]: frozenset(vmap[v] for v in e) for eid, e in zip(plain.hyperedge_ids, plain.hyperedges)},
+            )
+            state = _WorkingState(plain)
+            assert isinstance(state._region, list) and isinstance(state._edge_stamp, list)
+            state = _WorkingState(moved)
+            assert isinstance(state._region, dict) == any(vmap[v] != v for v in vmap)
+            assert isinstance(state._edge_stamp, dict) == any(emap[e] != e for e in emap)
+
+            res, expected = feedback_vertex_set(moved), feedback_vertex_set(plain)
+            assert res.removed_vertices == {vmap[v] for v in expected.removed_vertices}
+            assert res.trace == self.map_trace(expected.trace, vmap, emap)
+            verts_on, edges_on = on_cycle_elements(plain)
+            assert on_cycle_elements(moved) == ({vmap[v] for v in verts_on}, {emap[e] for e in edges_on})
+            rules.update(name for name, _ in res.trace)
+        # Rules 2 to 5 all ran on the relabelled input.
+        assert rules >= {
+            "drop_off_cycle_vertex",
+            "drop_off_cycle_hyperedge",
+            "take_high_degree_vertex",
+            "take_vertex_past_pendant_edge",
+        } and any(name.startswith("break_cycle") for name in rules)
+
+
 class TestMinimalFes:
     def test_acyclic_gives_empty(self):
         rng = random.Random(6)
