@@ -174,6 +174,20 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             max_triangle_packing(g, OracleBudget(max_nodes=nodes - 1))
 
+    # The same pin for the cover search: node count and witness edge ids.
+    COVER_SHAPES = [
+        (lambda: complete_graph(7), 508, [0, 5, 10, 11, 12, 13, 15, 16, 18]),
+        (lambda: random_gnp(12, 0.6, seed=2), 4285, [4, 13, 14, 19, 22, 23, 24, 32, 33, 34, 35]),
+    ]
+
+    @pytest.mark.parametrize("make, nodes, witness", COVER_SHAPES, ids=["K7", "G12"])
+    def test_cover_search_shape_is_pinned(self, make, nodes, witness):
+        g = make()
+        tau, cover = min_triangle_cover(g, OracleBudget(max_nodes=nodes))
+        assert (tau, sorted(cover)) == (len(witness), witness)
+        with pytest.raises(BudgetExceededError):
+            min_triangle_cover(g, OracleBudget(max_nodes=nodes - 1))
+
     def test_budget_override_allows_larger_instances(self):
         h = triangle_hypergraph(complete_graph(5))  # 10 edges, 10 hyperedges
         nu, _ = max_matching(h, OracleBudget(max_edges=20))
