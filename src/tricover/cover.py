@@ -38,7 +38,7 @@ from .cyclebreak import _feedback_vertex_set, _require_linear_3_uniform, minimal
 from .errors import IsolatedVertexError
 from .graph import Graph, _first_fit, bipartite_cut_cover
 from .hypergraph import Hypergraph, delete_hyperedges, delete_vertices, triangle_hypergraph
-from .oracles import HYPERGRAPH_BUDGET, max_matching, max_triangle_packing
+from .oracles import GRAPH_BUDGET, HYPERGRAPH_BUDGET, _max_disjoint, _Search, _capped_triangle_hypergraph, max_matching
 
 
 @dataclass(frozen=True)
@@ -225,19 +225,17 @@ def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
     ii against |E|/4, and condition iii asks for |E'| >= 2 |triangles| on the
     irreducible subgraph (edges outside triangles cannot help a cover, so the
     reduced edge count is the meaningful one; the raw ratio is reported too).
-    With use_oracle the exact packing number is computed, subject to
-    GRAPH_BUDGET.
+    With use_oracle, GRAPH_BUDGET's edge cap is checked before the triangle
+    scan, and nu_exact is the triangle hypergraph's maximum matching number.
     """
-    h = triangle_hypergraph(g)
+    h = _capped_triangle_hypergraph(g, GRAPH_BUDGET) if use_oracle else triangle_hypergraph(g)
     num_t = h.num_hyperedges
     num_e = g.num_edges
     # Hyperedge ids follow the canonical triangle order, so these equal the
     # irreducible subgraph's edge count and the greedy packing's size.
     num_e_irr = len(h.non_isolated_vertices())
     nu_lower = len(_first_fit(h.hyperedges))
-    nu_exact: int | None = None
-    if use_oracle:
-        nu_exact, _ = max_triangle_packing(g)
+    nu_exact = len(_max_disjoint(_Search(h, GRAPH_BUDGET))) if use_oracle else None
 
     winner, cover_sizes = _race(h, g)
     cond_i = _packing_condition(3, num_t, nu_lower, nu_exact) if num_t else "not-applicable"

@@ -3,7 +3,8 @@
 All searches are deterministic branch-and-bound or ordered subset
 enumeration. They are meant for desk-scale instances; a budget caps instance
 size, explored nodes, and wall-clock time, and blowing any cap raises
-BudgetExceededError rather than ever returning a wrong answer.
+BudgetExceededError rather than ever returning a wrong answer. Graph oracles
+run them on the triangle hypergraph, scanned only once the edge cap holds.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError, InvariantError
-from .graph import Graph, PackingWitness, Triangle, _first_fit, enumerate_triangles
-from .hypergraph import Hypergraph, _acyclic, on_cycle_elements
+from .graph import Graph, PackingWitness, Triangle, _first_fit
+from .hypergraph import Hypergraph, _acyclic, on_cycle_elements, triangle_hypergraph
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,12 @@ HYPERGRAPH_BUDGET = OracleBudget(max_edges=14)
 
 
 class _Search:
-    """Node/time accounting for one oracle call."""
+    """One oracle call: h's (hyperedge id, members) items in id order, and node/time accounting."""
 
-    __slots__ = ("budget", "nodes", "start")
+    __slots__ = ("items", "budget", "nodes", "start")
 
-    def __init__(self, budget: OracleBudget):
+    def __init__(self, h: Hypergraph, budget: OracleBudget):
+        self.items = list(zip(h.hyperedge_ids, h.hyperedges))
         self.budget = budget
         self.nodes = 0
         self.start = time.monotonic()
@@ -58,14 +60,20 @@ def _check_size(count: int, budget: OracleBudget, what: str) -> None:
         raise BudgetExceededError(f"{what} has {count} items, budget allows {budget.max_edges}")
 
 
-def _max_disjoint(items: list[tuple[int, frozenset[int]]], search: _Search) -> list[int]:
-    """Ids of a maximum pairwise-disjoint subfamily.
+def _capped_triangle_hypergraph(g: Graph, budget: OracleBudget) -> Hypergraph:
+    _check_size(g.num_edges, budget, "graph edge set")
+    return triangle_hypergraph(g)
+
+
+def _max_disjoint(search: _Search) -> list[int]:
+    """Ascending ids of a maximum pairwise-disjoint subfamily of the items.
 
     Each search node carries its candidates, the ascending indices of the
     undecided items disjoint from all chosen ones. Branch on the first
     candidate (include first); bound by the candidate count and by the
     number of elements the candidates span over the smallest item size.
     """
+    items = search.items
     best = [items[i][0] for i in _first_fit(members for _, members in items)]
     min_size = min((len(m) for _, m in items if m), default=1)
 
@@ -98,13 +106,14 @@ def _max_disjoint(items: list[tuple[int, frozenset[int]]], search: _Search) -> l
     return sorted(best)
 
 
-def _min_hitting_set(items: list[tuple[int, frozenset[int]]], search: _Search) -> list[int]:
+def _min_hitting_set(search: _Search) -> list[int]:
     """A minimum set of elements meeting every item (hitting set / transversal).
 
     Branch on the vertices of the first unhit item; lower-bound by a greedy
     pairwise-disjoint subfamily of the unhit items, each of which needs its
     own private element.
     """
+    items = search.items
     for iid, members in items:
         if not members:
             raise ValueError(f"item {iid} is empty; no hitting set exists")
@@ -144,36 +153,30 @@ def _min_hitting_set(items: list[tuple[int, frozenset[int]]], search: _Search) -
 
 
 def max_triangle_packing(g: Graph, budget: OracleBudget = GRAPH_BUDGET) -> tuple[int, PackingWitness]:
-    """Exact maximum number of pairwise edge-disjoint triangles, with witness."""
-    _check_size(g.num_edges, budget, "graph edge set")
-    tris = enumerate_triangles(g)
-    items = [(i, frozenset(t.edge_ids)) for i, t in enumerate(tris)]
-    ids = _max_disjoint(items, _Search(budget))
-    witness = PackingWitness(tuple(tris[i] for i in ids))
-    return len(ids), witness
+    """Exact maximum number of pairwise edge-disjoint triangles, with witness.
+    Triangle u < v < w has edge ids uv < uw < vw, so g.edges gives back u, v, w."""
+    h = _capped_triangle_hypergraph(g, budget)
+    ids = [sorted(h.hyperedge(i)) for i in _max_disjoint(_Search(h, budget))]
+    return len(ids), PackingWitness(tuple(Triangle((*g.edges[uv], g.edges[vw][1]), (uv, uw, vw)) for uv, uw, vw in ids))
 
 
 def min_triangle_cover(g: Graph, budget: OracleBudget = GRAPH_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum edge set meeting every triangle, with witness (edge ids)."""
-    _check_size(g.num_edges, budget, "graph edge set")
-    items = [(i, frozenset(t.edge_ids)) for i, t in enumerate(enumerate_triangles(g))]
-    cover = _min_hitting_set(items, _Search(budget))
+    cover = _min_hitting_set(_Search(_capped_triangle_hypergraph(g, budget), budget))
     return len(cover), frozenset(cover)
 
 
 def max_matching(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact maximum number of pairwise disjoint hyperedges, with witness ids."""
     _check_size(h.num_hyperedges, budget, "hypergraph")
-    items = [(eid, e) for eid, e in zip(h.hyperedge_ids, h.hyperedges)]
-    ids = _max_disjoint(items, _Search(budget))
+    ids = _max_disjoint(_Search(h, budget))
     return len(ids), frozenset(ids)
 
 
 def min_transversal(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum vertex set meeting every hyperedge, with witness."""
     _check_size(h.num_hyperedges, budget, "hypergraph")
-    items = [(eid, e) for eid, e in zip(h.hyperedge_ids, h.hyperedges)]
-    cover = _min_hitting_set(items, _Search(budget))
+    cover = _min_hitting_set(_Search(h, budget))
     return len(cover), frozenset(cover)
 
 
@@ -184,17 +187,16 @@ def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tu
     Each subset is tested by one union-find pass over the hyperedges it
     spares, with no hypergraph built."""
     _check_size(h.num_hyperedges, budget, "hypergraph")
-    search = _Search(budget)
+    search = _Search(h, budget)
     verts_on, edges_on = on_cycle_elements(h)
     candidates = sorted(verts_on if vertices else edges_on)
     if not candidates:
         return 0, frozenset()
-    edges = list(zip(h.hyperedge_ids, h.hyperedges))
     for k in range(1, len(candidates) + 1):
         for combo in combinations(candidates, k):
             search.tick()
             drop = frozenset(combo)
-            if _acyclic(e for eid, e in edges if (drop.isdisjoint(e) if vertices else eid not in drop)):
+            if _acyclic(e for eid, e in search.items if (drop.isdisjoint(e) if vertices else eid not in drop)):
                 return k, drop
     raise InvariantError("deleting every on-cycle element left a cycle")
 

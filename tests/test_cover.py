@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import tricover.cover
 from tricover import (
+    BudgetExceededError,
     Graph,
     Hypergraph,
     IsolatedVertexError,
@@ -345,7 +347,10 @@ class TestOnePipeline:
     """The graph entry points build the triangle hypergraph once and share
     the fvs and fes routes with the per-strategy functions."""
 
-    @pytest.mark.parametrize("entry", [best_cover, condition_report])
+    ORACLE_REPORT = functools.partial(condition_report, use_oracle=True)
+    GRAPH_ENTRIES = [best_cover, condition_report, ORACLE_REPORT, max_triangle_packing, min_triangle_cover]
+
+    @pytest.mark.parametrize("entry", GRAPH_ENTRIES, ids=["best", "report", "oracle-report", "packing", "cover"])
     def test_builds_the_instance_once(self, monkeypatch, entry):
         # enumerate_triangles and triangle_hypergraph both scan through
         # _triangle_scan, so this counts every triangle scan.
@@ -353,6 +358,14 @@ class TestOnePipeline:
         builds = count_calls(monkeypatch, triangle_hypergraph)
         entry(random_gnp(12, 0.6, 3))
         assert (len(triangles), len(builds)) == (1, 1)
+
+    @pytest.mark.parametrize("entry", GRAPH_ENTRIES[2:], ids=["oracle-report", "packing", "cover"])
+    def test_exact_entries_refuse_before_scanning(self, monkeypatch, entry):
+        triangles = count_calls(monkeypatch, _triangle_scan)
+        with pytest.raises(BudgetExceededError) as raised:
+            entry(complete_graph(12))
+        assert str(raised.value) == "graph edge set has 66 items, budget allows 40"
+        assert triangles == []
 
     @settings(max_examples=80, derandomize=True)
     @given(**gnp_params)

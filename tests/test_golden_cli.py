@@ -44,6 +44,8 @@ def _cases() -> dict[str, list[str]]:
     # mostly rule 3 and rule-2 drops, so it pins the cycle searches' effect.
     for strategy in ("best", "fvs"):
         cases[f"gnp16_dense-cover-{strategy}-explain"] = ["cover", "gnp16_dense.txt", "--strategy", strategy, "--explain"]
+    # Its 115 edges are over the oracle's 40-edge cap: pins exit code 4.
+    cases["gnp16_dense-analyze-oracle"] = ["analyze", "gnp16_dense.txt", "--oracle"]
     for name in HYPERGRAPHS:
         for command in ("fvs", "fes", "solve-acyclic"):
             cases[f"{name}-{command}"] = [command, f"{name}.txt"]

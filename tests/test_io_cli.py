@@ -3,6 +3,8 @@ import json
 import pytest
 
 import tricover.cli
+import tricover.graph
+import tricover.hypergraph
 from tricover import (
     GraphFormatError,
     InvariantError,
@@ -198,12 +200,17 @@ class TestAnalyzeCommand:
         assert payload["ratios"]["edges_over_triangles"] == "7/3"
         assert payload["conditions"]["iii"] == "true"
 
-    def test_oracle_over_budget_exits_4(self, capsys, tmp_path):
+    def test_oracle_over_budget_exits_4(self, capsys, tmp_path, monkeypatch):
+        # The edge cap is checked before any triangle scan.
+        scans = []
+        for module in (tricover.graph, tricover.hypergraph):
+            monkeypatch.setattr(module, "_triangle_scan", scans.append)
         path = tmp_path / "k12.txt"
         lines = [f"{u} {v}\n" for u in range(12) for v in range(u + 1, 12)]
         path.write_text("".join(lines))
-        code, _, err = run_cli(capsys, "analyze", str(path), "--oracle")
-        assert code == 4
+        code, out, err = run_cli(capsys, "analyze", str(path), "--oracle")
+        assert (code, out, err) == (4, "", "error: graph edge set has 66 items, budget allows 40\n")
+        assert scans == []
 
 
 class TestHypergraphCommands:

@@ -26,7 +26,7 @@ from tricover import (
     triangle_hypergraph,
 )
 
-from generators import random_acyclic_forest, random_linear_3_uniform
+from generators import random_acyclic_forest, random_linear_3_uniform, small_graph_corpus
 
 
 def subset_nu(h: Hypergraph) -> int:
@@ -98,6 +98,17 @@ class TestWitnessesAndInvariants:
         assert len(cover) == size
         for t in enumerate_triangles(g):
             assert set(t.edge_ids) & cover
+
+    def test_graph_oracles_are_the_hypergraph_oracles_on_the_triangle_hypergraph(self):
+        for g in small_graph_corpus(seed=21, count=40):
+            h = triangle_hypergraph(g)
+            uncapped = OracleBudget(max_edges=h.num_hyperedges)
+            _, packing = max_triangle_packing(g)
+            _, ids = max_matching(h, uncapped)
+            assert [t.edge_ids for t in packing.triangles] == [tuple(sorted(h.hyperedge(i))) for i in sorted(ids)]
+            # Hyperedge i is the i-th enumerated triangle, vertices included.
+            assert list(packing.triangles) == [enumerate_triangles(g)[i] for i in sorted(ids)]
+            assert min_triangle_cover(g) == min_transversal(h, uncapped)
 
     def test_duality_sandwich_on_random_graphs(self):
         rng = random.Random(17)
