@@ -30,7 +30,7 @@ from .cover import (
 from .cyclebreak import feedback_vertex_set, fes_size_bound, is_minimal_fes, minimal_fes
 from .errors import BudgetExceededError, GraphFormatError, TricoverError
 from .experiment import ESTIMATORS, RECORD_COLUMNS, ExperimentSpec, run_experiment, write_csv
-from .hypergraph import delete_hyperedges, delete_vertices, is_acyclic, triangle_hypergraph
+from .hypergraph import delete_hyperedges, delete_vertices, is_acyclic
 from .io import parse_graph, parse_hypergraph
 
 SCHEMA = 1
@@ -89,8 +89,7 @@ def _cmd_cover(args) -> dict:
                 str(e): [labels[u], labels[v]] for e, (u, v) in enumerate(g.edges)
             }
         if (dropped := cert.fes_hyperedges) is not None:
-            hg = triangle_hypergraph(g)
-            explain["dropped_triangles"] = [_edge_labels(g, labels, hg.hyperedge(f)) for f in sorted(dropped)]
+            explain["dropped_triangles"] = [_edge_labels(g, labels, members) for members in dropped.values()]
         if cert.residual_pair is not None:
             explain["residual_transversal"] = _edge_labels(g, labels, cert.residual_pair.transversal)
             explain["residual_matching_size"] = len(cert.residual_pair.matching)

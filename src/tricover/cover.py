@@ -48,6 +48,7 @@ class CoverCertificate:
     cover holds graph edge ids, or vertex ids for the hypergraph form.
     breaker is the cycle-breaking part: the removed feedback vertices for the
     fvs strategy, or the per-dropped-hyperedge picks for the fes strategy.
+    fes_hyperedges maps each dropped hyperedge id to its members, in id order.
     residual_pair is the exact transversal/matching pair of the acyclic
     remainder (absent for the bipartite strategy). claimed_bound is the
     certified size guarantee; the cover never exceeds it.
@@ -58,7 +59,7 @@ class CoverCertificate:
     claimed_bound: Fraction
     breaker: frozenset[int]
     residual_pair: DualPair | None
-    fes_hyperedges: frozenset[int] | None = None
+    fes_hyperedges: Mapping[int, frozenset[int]] | None = None
     trace: tuple | None = None
     strategy_sizes: Mapping[str, int] | None = None
     conditions: Mapping[str, str] | None = None
@@ -98,8 +99,8 @@ def _via_fvs(h: Hypergraph) -> CoverCertificate:
 def _via_fes(h: Hypergraph) -> CoverCertificate:
     """fes route: a minimal feedback edge set, the least vertex of each
     dropped hyperedge, then the exact solve of the acyclic remainder."""
-    dropped = minimal_fes(h).removed_hyperedges
-    picks = frozenset(min(h.hyperedge(f)) for f in dropped)
+    dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h).removed_hyperedges)}
+    picks = frozenset(min(e) for e in dropped.values())
     pair = solve_acyclic(delete_hyperedges(h, dropped) if dropped else h)
     claimed = Fraction(len(pair.matching) + len(dropped))
     return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)

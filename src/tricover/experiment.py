@@ -18,9 +18,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .cover import cover_via_bipartite
 from .errors import ExperimentSpecError
-from .graph import _surviving_triangles, extend_packing, random_gnp
+from .graph import _surviving_triangles, bipartite_cut_cover, extend_packing, random_gnp
 from .oracles import steiner_triple_system
 
 ESTIMATORS = ("greedy", "steiner-seeded")
@@ -103,7 +102,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         alive = _surviving_triangles(g, base_triples)  # empty for greedy, which has no base
         packing = extend_packing(g, alive)
 
-        cover = cover_via_bipartite(g).cover
+        cover = bipartite_cut_cover(g)
         m = g.num_edges
         records.append(
             TrialRecord(

@@ -3,10 +3,12 @@ import functools
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tricover.cli
 import tricover.cover
 from tricover import (
     BudgetExceededError,
@@ -103,7 +105,7 @@ class TestCoverViaFes:
         g = book_graph(3)
         cert = cover_via_fes(g)
         assert_certificate_sound(g, cert)
-        assert cert.fes_hyperedges == frozenset()
+        assert cert.fes_hyperedges == {}
         assert cert.size == 1
 
     def test_k4_condition_fails_but_cover_valid(self):
@@ -116,7 +118,7 @@ class TestCoverViaFes:
         g = complete_graph(3)
         cert = cover_via_fes(g)
         assert cert.size == 1
-        assert cert.fes_hyperedges == frozenset()
+        assert cert.fes_hyperedges == {}
 
     def test_dropped_count_below_components_on_sparse_irreducible(self):
         # Irreducible graphs with at least twice as many edges as triangles:
@@ -340,6 +342,14 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def assert_dropped_are_the_instances(h, cert) -> None:
+    """An fes certificate lists its dropped hyperedges in ascending id order,
+    each with its members in h."""
+    dropped = cert.fes_hyperedges
+    assert list(dropped) == sorted(dropped)
+    assert all(members == h.hyperedge(f) for f, members in dropped.items())
+
+
 gnp_params = dict(n=st.integers(0, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
 
 
@@ -350,14 +360,36 @@ class TestOnePipeline:
     ORACLE_REPORT = functools.partial(condition_report, use_oracle=True)
     GRAPH_ENTRIES = [best_cover, condition_report, ORACLE_REPORT, max_triangle_packing, min_triangle_cover]
 
-    @pytest.mark.parametrize("entry", GRAPH_ENTRIES, ids=["best", "report", "oracle-report", "packing", "cover"])
-    def test_builds_the_instance_once(self, monkeypatch, entry):
+    @pytest.mark.parametrize(
+        "entry, scans",
+        [(entry, 1) for entry in GRAPH_ENTRIES] + [(cover_via_fvs, 1), (cover_via_fes, 1), (cover_via_bipartite, 0)],
+        ids=["best", "report", "oracle-report", "packing", "cover", "fvs", "fes", "bipartite"],
+    )
+    def test_builds_the_instance_once(self, monkeypatch, entry, scans):
         # enumerate_triangles and triangle_hypergraph both scan through
         # _triangle_scan, so this counts every triangle scan.
         triangles = count_calls(monkeypatch, _triangle_scan)
         builds = count_calls(monkeypatch, triangle_hypergraph)
         entry(random_gnp(12, 0.6, 3))
-        assert (len(triangles), len(builds)) == (1, 1)
+        assert (len(triangles), len(builds)) == (scans, scans)
+
+    @pytest.mark.parametrize(
+        "argv, scans",
+        [
+            (["cover", "--strategy", strategy, *explain], int(strategy != "bipartite"))
+            for strategy in ("fvs", "fes", "best", "bipartite")
+            for explain in ([], ["--explain"])
+        ]
+        + [(["analyze", *oracle], 1) for oracle in ([], ["--oracle"])],
+        ids=lambda arg: "-".join(arg).replace("--", "") if isinstance(arg, list) else None,
+    )
+    def test_each_cli_command_scans_at_most_once(self, monkeypatch, argv, scans):
+        # The fes route's certificate carries its dropped triangles, so
+        # --explain prints them without a second build.
+        triangles = count_calls(monkeypatch, _triangle_scan)
+        gnp12 = Path(__file__).parent / "golden" / "inputs" / "gnp12.txt"
+        assert tricover.cli.main([argv[0], str(gnp12), *argv[1:]]) == 0
+        assert len(triangles) == scans
 
     @pytest.mark.parametrize("entry", GRAPH_ENTRIES[2:], ids=["oracle-report", "packing", "cover"])
     def test_exact_entries_refuse_before_scanning(self, monkeypatch, entry):
@@ -381,6 +413,7 @@ class TestOnePipeline:
     def test_entry_points_agree_with_the_strategies(self, n, p, seed):
         g = random_gnp(n, p, seed)
         certs = {"fvs": cover_via_fvs(g), "fes": cover_via_fes(g), "bipartite": cover_via_bipartite(g)}
+        assert_dropped_are_the_instances(triangle_hypergraph(g), certs["fes"])
         sizes = {name: cert.size for name, cert in certs.items()}
         best = best_cover(g)
         assert best.strategy_sizes == sizes
@@ -394,8 +427,12 @@ class TestOnePipeline:
             # No isolated vertices: hypergraph_cover runs the graph routes'
             # pipeline and keeps the smaller cover, fvs on ties.
             fvs, fes = cover_via_fvs(reduced), cover_via_fes(reduced)
-            cert = hypergraph_cover(triangle_hypergraph(reduced))
+            h = triangle_hypergraph(reduced)
+            cert = hypergraph_cover(h)
             assert dataclasses.replace(cert, conditions=None) == (fes if fes.size < fvs.size else fvs)
+            # hypergraph_cover returns this fes certificate when fes wins,
+            # which is rare here, so it is checked on every draw.
+            assert_dropped_are_the_instances(h, fes)
 
 
 class TestTwoApproximationUnderConditions:

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,28 @@ class TestUnusedImports:
     def test_guard_reads_annotations(self):
         source = "from __future__ import annotations\nfrom typing import Mapping\n\ndef f(x: Mapping) -> None: ...\n"
         assert unused_imports(source) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of a module's absolute imports that are not in the
+    standard library; relative imports stay inside the package."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module.split(".")[0])
+    return [name for name in names if name not in sys.stdlib_module_names]
+
+
+class TestStandardLibraryRuntime:
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_module_imports_only_the_standard_library(self, module):
+        assert non_stdlib_imports((PACKAGE / module).read_text()) == []
+
+    def test_guard_catches_a_third_party_import(self):
+        source = "import numpy\nimport os.path\nfrom .graph import Graph\nfrom __future__ import annotations\n"
+        assert non_stdlib_imports(source) == ["numpy"]
 
 
 def private_package_imports(source: str) -> list[str]:
