@@ -37,12 +37,19 @@ HYPERGRAPH_BUDGET = OracleBudget(max_edges=14)
 
 
 class _Search:
-    """One oracle call: h's (hyperedge id, members) items in id order, and node/time accounting."""
+    """One oracle call: h's (hyperedge id, members) items in id order, their
+    bitmasks, and node/time accounting.
 
-    __slots__ = ("items", "budget", "nodes", "start")
+    bit[v] is 1 << k for the k-th smallest element v of the items' union,
+    and masks[i] ORs the bits of item i, so bit positions are dense whatever
+    the raw (negative or huge) vertex ids are."""
+
+    __slots__ = ("items", "bit", "masks", "budget", "nodes", "start")
 
     def __init__(self, h: Hypergraph, budget: OracleBudget):
         self.items = list(zip(h.hyperedge_ids, h.hyperedges))
+        self.bit = {v: 1 << k for k, v in enumerate(sorted(frozenset().union(*h.hyperedges)))}
+        self.masks = [sum(map(self.bit.__getitem__, e)) for e in h.hyperedges]
         self.budget = budget
         self.nodes = 0
         self.start = time.monotonic()
@@ -72,33 +79,36 @@ def _max_disjoint(search: _Search) -> list[int]:
     undecided items disjoint from all chosen ones. Branch on the first
     candidate (include first); bound by the candidate count and by the
     number of elements the candidates span over the smallest item size.
+    Items are search.masks, where bit k stands for the k-th smallest element
+    of all items: the span is the bit count of the candidates' OR, and the
+    include child keeps the candidates sharing no bit with the chosen item.
     """
-    items = search.items
+    items, masks = search.items, search.masks
     best = [items[i][0] for i in _first_fit(members for _, members in items)]
     min_size = min((len(m) for _, m in items if m), default=1)
+    has_empty = not all(masks)
 
     chosen: list[int] = []
 
     def rec(avail: list[int]) -> None:
         nonlocal best
         search.tick()
-        span: set[int] = set()
-        empties = 0
-        for i in avail:
-            if items[i][1]:
-                span |= items[i][1]
-            else:
-                empties += 1
-        bound = len(chosen) + min(len(avail), empties + len(span) // max(min_size, 1))
-        if bound <= len(best):
+        if len(chosen) + len(avail) <= len(best):
             return
         if not avail:
-            if len(chosen) > len(best):
-                best = chosen.copy()
+            best = chosen.copy()
             return
-        iid, members = items[avail[0]]
-        chosen.append(iid)
-        rec([i for i in avail[1:] if members.isdisjoint(items[i][1])])
+        span = 0
+        for i in avail:
+            span |= masks[i]
+        free = span.bit_count() // min_size
+        if has_empty:
+            free += sum(1 for i in avail if not masks[i])
+        if len(chosen) + free <= len(best):
+            return
+        first = masks[avail[0]]
+        chosen.append(items[avail[0]][0])
+        rec([i for i in avail[1:] if not masks[i] & first])
         chosen.pop()
         rec(avail[1:])
 
@@ -111,9 +121,12 @@ def _min_hitting_set(search: _Search) -> list[int]:
 
     Branch on the vertices of the first unhit item; lower-bound by a greedy
     pairwise-disjoint subfamily of the unhit items, each of which needs its
-    own private element.
+    own private element. Items are search.masks, where bit k stands for the
+    k-th smallest element of all items (search.bit[v] is v's bit): the bound
+    is a first-fit pass over the unhit masks, and branching on v keeps the
+    items whose mask misses v's bit.
     """
-    items = search.items
+    items, masks, bit = search.items, search.masks, search.bit
     for iid, members in items:
         if not members:
             raise ValueError(f"item {iid} is empty; no hitting set exists")
@@ -140,12 +153,17 @@ def _min_hitting_set(search: _Search) -> list[int]:
             if len(chosen) < len(best):
                 best = sorted(chosen)
             return
-        if len(chosen) + len(_first_fit(items[i][1] for i in unhit_idx)) >= len(best):
+        used, bound = 0, len(chosen)
+        for i in unhit_idx:
+            if not used & masks[i]:
+                used |= masks[i]
+                bound += 1
+        if bound >= len(best):
             return
-        target = items[unhit_idx[0]][1]
-        for v in sorted(target):
+        for v in sorted(items[unhit_idx[0]][1]):
             chosen.append(v)
-            rec([i for i in unhit_idx if v not in items[i][1]])
+            b = bit[v]
+            rec([i for i in unhit_idx if not masks[i] & b])
             chosen.pop()
 
     rec(list(range(len(items))))

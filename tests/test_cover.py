@@ -223,6 +223,18 @@ class TestHypergraphCover:
         assert cert.conditions["ii"] == "true"
         assert cert.size <= 2 * max_matching(h)[0]
 
+    def test_fes_route_wins(self):
+        # Few random linear draws make fes strictly smaller than fvs, so one
+        # such case is pinned: fvs needs 3 vertices, fes drops hyperedge 3.
+        h = Hypergraph(range(8), [(0, 1, 7), (1, 3, 5), (2, 4, 6), (2, 5, 7)])
+        assert tricover.cover._via_fvs(h).size == 3
+        cert = hypergraph_cover(h)
+        assert (cert.strategy, cert.size) == ("fes", 2)
+        assert cert.conditions == {"i": "true", "ii": "true"}
+        assert cert == dataclasses.replace(tricover.cover._via_fes(h), conditions=cert.conditions)
+        assert cert.fes_hyperedges == {3: frozenset({2, 5, 7})}
+        assert all(cert.cover & e for e in h.hyperedges)
+
     def test_rejects_isolated_vertices(self):
         h = Hypergraph(range(4), [(0, 1, 2)])
         with pytest.raises(IsolatedVertexError):

@@ -27,6 +27,7 @@ from tricover import (
 )
 
 from generators import random_acyclic_forest, random_linear_3_uniform, small_graph_corpus
+import reference_oracles
 
 
 def subset_nu(h: Hypergraph) -> int:
@@ -203,6 +204,85 @@ class TestBudgets:
         h = triangle_hypergraph(complete_graph(5))  # 10 edges, 10 hyperedges
         nu, _ = max_matching(h, OracleBudget(max_edges=20))
         assert nu == 2
+
+
+HUGE = 2**40
+ODD_IDS = [-(2**50), -7, -1, 0, 3, 1000, HUGE, HUGE + 1, 2**63, 10**30]
+
+
+def relabelled(h: Hypergraph, rng: random.Random) -> Hypergraph:
+    """h with its vertices renamed to distinct negative, sparse or huge ids."""
+    pool = ODD_IDS + rng.sample(range(-(10**6), 10**6), len(h.vertices))
+    names = dict(zip(sorted(h.vertices), rng.sample(pool, len(h.vertices))))
+    return Hypergraph(names.values(), [[names[v] for v in e] for e in h.hyperedges])
+
+
+def pairs_and_an_empty_item(rng: random.Random) -> Hypergraph:
+    """3 to 12 items of 2 or 3 ids from ODD_IDS, plus one empty item."""
+    items = [rng.sample(ODD_IDS, rng.choice((2, 2, 3))) for _ in range(rng.randint(3, 12))]
+    items.insert(rng.randrange(len(items) + 1), [])
+    return Hypergraph(ODD_IDS, items)
+
+
+# Hand-made hypergraphs with negative, sparse and very large vertex ids, and,
+# for the matching search only, 2-element items and one empty item.
+HAND_MADE = [
+    Hypergraph([-5, -1, 0, 7, HUGE, HUGE + 3, 2**63, -(2**45)],
+               [(-5, -1, 0), (0, 7, HUGE), (HUGE, HUGE + 3, 2**63), (-(2**45), -5, 2**63), (-1, 7, HUGE + 3)]),
+    Hypergraph([-(10**20), 10**20, -3, 3, 99], [(-(10**20), 10**20, -3), (3, 99, -3), (10**20, 3, 99)]),
+]
+WITH_PAIRS = [
+    Hypergraph([-3, 5, 7, HUGE, 2 * HUGE], [(-3, HUGE), (), (HUGE, 5, -3), (5, 7), (7, 2 * HUGE), (-3, 7, 2 * HUGE)]),
+    Hypergraph([-1, 0, 1, 2, HUGE], [(-1, 0), (1, 2), (0, 1), (2, HUGE), (-1, HUGE), (-1, 1, 2), ()]),
+]
+
+
+def generated_families() -> dict[str, list[Hypergraph]]:
+    rng = random.Random(23)
+    draws = [random_linear_3_uniform(rng, rng.randint(5, 15), rng.randint(1, 14)) for _ in range(60)]
+    return {
+        "triangle-hypergraphs": [triangle_hypergraph(g) for g in small_graph_corpus(seed=23, count=60)],
+        "linear-3-uniform": draws,
+        "relabelled": [relabelled(h, rng) for h in draws[:30]],
+        "hand-made": HAND_MADE,
+        "pairs-and-an-empty-item": WITH_PAIRS + [pairs_and_an_empty_item(rng) for _ in range(40)],
+    }
+
+
+FAMILIES = generated_families()
+HITTABLE = [family for family in FAMILIES if family != "pairs-and-an-empty-item"]
+
+
+class TestBitmaskKernels:
+    """The bitmask searches against the set-based reference searches: the
+    same ids and the same explored node count on every instance."""
+
+    @staticmethod
+    def agree(hs: list[Hypergraph], kernel, reference) -> None:
+        for k, h in enumerate(hs):
+            new, old = oracles._Search(h, oracles.GRAPH_BUDGET), oracles._Search(h, oracles.GRAPH_BUDGET)
+            assert (k, kernel(new), new.nodes) == (k, reference(old), old.nodes)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matching_search_matches_reference(self, family):
+        self.agree(FAMILIES[family], oracles._max_disjoint, reference_oracles._max_disjoint)
+
+    @pytest.mark.parametrize("family", HITTABLE)
+    def test_hitting_set_search_matches_reference(self, family):
+        self.agree(FAMILIES[family], oracles._min_hitting_set, reference_oracles._min_hitting_set)
+
+    def test_empty_item_has_no_hitting_set(self):
+        for kernel in (oracles._min_hitting_set, reference_oracles._min_hitting_set):
+            with pytest.raises(ValueError, match="item 1 is empty"):
+                kernel(oracles._Search(WITH_PAIRS[0], oracles.GRAPH_BUDGET))
+
+    @pytest.mark.parametrize("h", HAND_MADE + WITH_PAIRS)
+    def test_bit_positions_are_dense(self, h):
+        search = oracles._Search(h, oracles.GRAPH_BUDGET)
+        union = sorted(frozenset().union(*h.hyperedges))
+        assert list(search.bit) == union
+        assert list(search.bit.values()) == [1 << k for k in range(len(union))]
+        assert search.masks == [sum(1 << union.index(v) for v in e) for e in h.hyperedges]
 
 
 ADMISSIBLE = [n for n in range(3, 62) if n % 6 in (1, 3)]
