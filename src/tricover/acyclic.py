@@ -37,14 +37,15 @@ def solve_acyclic(h: Hypergraph) -> DualPair:
     """Minimum transversal and maximum matching of an acyclic hypergraph.
 
     One BFS over the incidence structure, from the least unreached vertex of
-    each component, visiting each vertex's hyperedges and each hyperedge's
-    members in ascending id order, records every hyperedge's depth and the
-    vertex it was entered from. A hyperedge holding an already reached vertex
-    other than that entry vertex closes a cycle. Hyperedges are then
-    processed deepest first (ties by id); a not-yet-hit hyperedge contributes
-    its entry vertex to the transversal and itself to the matching.
-    Components are independent, so this global order equals per-component
-    processing.
+    each component, records every hyperedge's depth and the vertex it was
+    entered from. A hyperedge holding an already reached vertex other than
+    that entry vertex closes a cycle, whatever the visiting order. On a
+    forest that order changes nothing either: each hyperedge is entered from
+    its parent vertex in the tree rooted at the least vertex, and its depth
+    is its BFS distance. Hyperedges are then processed deepest first (ties
+    by id); a not-yet-hit hyperedge contributes its entry vertex to the
+    transversal and itself to the matching. Components are independent, so
+    this global order equals per-component processing.
 
     Raises EmptyHyperedgeError when some hyperedge has no vertices (it could
     not be attached to any tree), and CyclicInputError on cyclic input.
@@ -68,7 +69,7 @@ def solve_acyclic(h: Hypergraph) -> DualPair:
                     continue
                 depth = edge_depth[eid] = vertex_depth[v] + 1
                 entry[eid] = v
-                for w in sorted(h.hyperedge(eid)):
+                for w in h.hyperedge(eid):
                     if w in vertex_depth:
                         if w != v:
                             raise CyclicInputError("hypergraph has a cycle")

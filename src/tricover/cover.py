@@ -91,7 +91,7 @@ def _via_fvs(h: Hypergraph) -> CoverCertificate:
     then the exact solve of the acyclic remainder."""
     res = _feedback_vertex_set(h)
     breaker = res.removed_vertices
-    pair = solve_acyclic(delete_vertices(h, breaker) if breaker else h)
+    pair = solve_acyclic(delete_vertices(h, breaker))
     claimed = Fraction(h.num_hyperedges, 3) + len(pair.matching)
     return CoverCertificate("fvs", breaker | pair.transversal, claimed, breaker, pair, trace=res.trace)
 
@@ -101,7 +101,7 @@ def _via_fes(h: Hypergraph) -> CoverCertificate:
     dropped hyperedge, then the exact solve of the acyclic remainder."""
     dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h).removed_hyperedges)}
     picks = frozenset(min(e) for e in dropped.values())
-    pair = solve_acyclic(delete_hyperedges(h, dropped) if dropped else h)
+    pair = solve_acyclic(delete_hyperedges(h, dropped))
     claimed = Fraction(len(pair.matching) + len(dropped))
     return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)
 
@@ -151,8 +151,10 @@ def _race(h: Hypergraph, g: Graph | None = None) -> tuple[CoverCertificate, dict
 
 
 def _packing_condition(scale: int, total: int, lower: int, exact: int | None) -> str:
-    """Whether packing number * scale >= total. An exact packing number
-    decides it; without one, only the lower bound can prove it "true"."""
+    """Whether packing number * scale >= total, "not-applicable" when total
+    is 0. An exact packing number decides it, else only lower proves "true"."""
+    if not total:
+        return "not-applicable"
     if exact is not None:
         return "true" if scale * exact >= total else "false"
     return "true" if scale * lower >= total else "unknown"
@@ -174,7 +176,7 @@ def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
     Runs both the feedback-vertex-set route and the feedback-edge-set route
     and returns the smaller transversal (ties prefer fvs). Under either of
     the recorded conditions the winner has size at most twice the matching
-    number:
+    number (both are "not-applicable" when there is no hyperedge):
 
     * condition i: matching number >= |hyperedges|/3 (a matching lower bound
       or the exact oracle within HYPERGRAPH_BUDGET decides it, else "unknown");
@@ -190,7 +192,7 @@ def hypergraph_cover(h: Hypergraph) -> CoverCertificate:
     exact = max_matching(h)[0] if 3 * lower < m <= HYPERGRAPH_BUDGET.max_edges else None
     conditions = {
         "i": _packing_condition(3, m, lower, exact),
-        "ii": "true" if len(h.vertices) >= 2 * m else "false",
+        "ii": ("true" if len(h.vertices) >= 2 * m else "false") if m else "not-applicable",
     }
     return dataclasses.replace(_race(h)[0], conditions=conditions)
 
@@ -239,8 +241,8 @@ def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
     nu_exact = len(_max_disjoint(_Search(h, GRAPH_BUDGET))) if use_oracle else None
 
     winner, cover_sizes = _race(h, g)
-    cond_i = _packing_condition(3, num_t, nu_lower, nu_exact) if num_t else "not-applicable"
-    cond_ii = _packing_condition(4, num_e, nu_lower, nu_exact) if num_e else "not-applicable"
+    cond_i = _packing_condition(3, num_t, nu_lower, nu_exact)
+    cond_ii = _packing_condition(4, num_e, nu_lower, nu_exact)
     cond_iii = ("true" if num_e_irr >= 2 * num_t else "false") if num_t else "not-applicable"
 
     ratios: dict[str, Fraction | None] = {

@@ -61,7 +61,8 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     touched):
 
     1. at most 2 hyperedges left: done (a linear cycle needs 3);
-    2. some non-isolated vertex or hyperedge lies on no cycle: drop it;
+    2. some hyperedge lies on no cycle: drop it (a vertex on no cycle lies
+       only in such hyperedges and goes with the last of them);
     3. some vertex has degree >= 3: take it, drop it (kills >= 3 hyperedges);
     4. some vertex p has degree 1 (the least): its hyperedge e1 = {p, a, b},
        a < b, lies on a cycle, which enters and leaves e1 at a and b, so b
@@ -107,27 +108,21 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     already know h is 3-uniform and linear (triangle hypergraphs always are).
 
     The rules act on one working copy, deleting in place. Each loop sweeps
-    rule 2 with the elements found off-cycle, vertices then hyperedges in
-    ascending order, while more than two hyperedges remain: dropping them
-    destroys no cycle and creates none. One of rules 3 to 5 follows. One
-    union-find pass over the hyperedges the removed vertices miss checks
-    the result.
+    rule 2 over the off-cycle hyperedges in ascending id order while more
+    than two remain. That adds nothing to removed, and kills no kept cycle,
+    as none runs through them, so live and the voided hyperedges stay as
+    they were. A vertex on no cycle lies only in off-cycle hyperedges and
+    leaves incident with the last, so no vertex sweep is needed. One of
+    rules 3 to 5 follows; one union-find pass over the hyperedges the
+    removed vertices miss checks the result.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
     by_label, cursor = sorted(state.incident), 0  # rule 3 takes the least vertex of degree >= 3
     while len(state.edges) > 2:
-        off_edges = state.off_cycle()
-        # The previous loop swept every off-cycle element, so a vertex off a
-        # cycle now belongs to a hyperedge found off-cycle now.
-        off_verts = {v for e in off_edges for v in state.edges[e] if state.certified.isdisjoint(state.incident[v])}
-        for v in sorted(off_verts):
-            if v in state.incident and len(state.edges) > 2:
-                trace.append(("drop_off_cycle_vertex", (v,)))
-                state.drop_vertex(v)
-        for eid in sorted(off_edges):
-            if eid in state.edges and len(state.edges) > 2:
+        for eid in sorted(state.off_cycle()):
+            if len(state.edges) > 2:
                 trace.append(("drop_off_cycle_hyperedge", (eid,)))
                 state.drop_edge(eid)
         if len(state.edges) <= 2:

@@ -247,8 +247,8 @@ class _WorkingState:
     with at most one member left in another unpeeled one is on no cycle. The
     first off_cycle reports the peeled hyperedges and searches the rest. A
     cycle a search closes is kept whole, as its hyperedge ids: live counts,
-    per hyperedge, the kept cycles through it that survive, and certified is
-    a view of the hyperedges that have one. Deleting hyperedges creates no
+    per hyperedge, the kept cycles through it that survive, so its keys are
+    the hyperedges known to be on a cycle. Deleting hyperedges creates no
     cycle, so dropping one kills only the cycles through it, and only a
     hyperedge left with no live cycle is voided, to be searched again.
 
@@ -274,7 +274,7 @@ class _WorkingState:
     """
 
     __slots__ = (
-        "edges", "incident", "live", "certified", "_through", "_voided", "_peeled",
+        "edges", "incident", "live", "_through", "_voided", "_peeled",
         "_region", "_via", "_edge_stamp", "_entered", "_next_base",
     )
 
@@ -282,7 +282,6 @@ class _WorkingState:
         self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
         self.incident = {v: set(h.incident(v)) for v in h.non_isolated_vertices()}
         self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
-        self.certified = self.live.keys()
         self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
         self._voided = list(reversed(self.edges))  # to search at the next off_cycle; highest id first
         self._region, self._via = _marks(h.vertices)
@@ -420,7 +419,7 @@ def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
     """
     state = _WorkingState(h)
     state.off_cycle()
-    edges_on = frozenset(state.certified)
+    edges_on = frozenset(state.live)
     return frozenset(v for e in edges_on for v in state.edges[e]), edges_on
 
 

@@ -269,13 +269,8 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
             trace.append(("base", ()))
             break
 
-        verts_on, edges_on = on_cycle_elements(cur)
+        _, edges_on = on_cycle_elements(cur)
 
-        off_vertex = next((v for v in sorted(cur.non_isolated_vertices()) if v not in verts_on), None)
-        if off_vertex is not None:
-            trace.append(("drop_off_cycle_vertex", (off_vertex,)))
-            cur = delete_vertices(cur, (off_vertex,))
-            continue
         off_edge = next((e for e in cur.hyperedge_ids if e not in edges_on), None)
         if off_edge is not None:
             trace.append(("drop_off_cycle_hyperedge", (off_edge,)))

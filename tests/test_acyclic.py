@@ -133,6 +133,23 @@ class TestSolveAcyclic:
             assert transversal == set(whole.transversal)
             assert matching == set(whole.matching)
 
+    def test_member_iteration_order_does_not_matter(self):
+        # v -> 7v keeps the id order, but a small frozenset of multiples of 7
+        # iterates by 7v mod its table size, mostly not in ascending order.
+        # The BFS reads members in iteration order, so the answer must not
+        # depend on it.
+        rng = random.Random(60)
+        unsorted = total = 0
+        for _ in range(40):
+            h = random_acyclic_forest(rng, rng.randint(2, 14), isolated=rng.randint(0, 2))
+            moved = Hypergraph((7 * v for v in h.vertices), ([7 * v for v in e] for e in h.hyperedges))
+            total += moved.num_hyperedges
+            unsorted += sum(list(e) != sorted(e) for e in moved.hyperedges)
+            pair, expected = solve_acyclic(moved), solve_acyclic(h)
+            assert pair.transversal == {7 * v for v in expected.transversal}
+            assert pair.matching == expected.matching
+        assert unsorted >= 0.9 * total
+
 
 @st.composite
 def small_hypergraphs(draw) -> Hypergraph:
