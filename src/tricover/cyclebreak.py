@@ -3,11 +3,11 @@
 Two engines:
 
 * `feedback_vertex_set` removes at most floor(m/3) vertices from an m-edge
-  linear 3-uniform hypergraph and leaves it acyclic. It recurses on one of
-  five rules, tried in a fixed priority order, each charging at least three
-  deleted hyperedges per removed vertex. The rules mutate one
-  `hypergraph._WorkingState`, whose peel and cycle searches decide rule 2.
-  Rule 4 reads only degrees, and rule 5 searches for a shortest cycle.
+  linear 3-uniform hypergraph and leaves it acyclic. Until no hyperedge is
+  left, it drops those on no cycle (rule 2) and takes vertices by one of
+  rules 3 to 5. They mutate one `hypergraph._WorkingState`, whose peel and
+  cycle searches decide rule 2. Rule 4 reads only degrees, and rule 5
+  searches for a shortest cycle.
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
@@ -60,35 +60,41 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     Rules, tried in order at every level (isolated vertices are never
     touched):
 
-    1. at most 2 hyperedges left: done (a linear cycle needs 3);
+    1. no hyperedge left: done. With at most two left, none lies on a cycle
+       (a linear cycle needs 3), so rule 2 drops them;
     2. some hyperedge lies on no cycle: drop it (a vertex on no cycle lies
-       only in such hyperedges and goes with the last of them);
-    3. some vertex has degree >= 3: take it, drop it (kills >= 3 hyperedges);
+       only in such hyperedges and goes with the last of them). It takes
+       no vertex, and no other rule drops a hyperedge by itself;
+    3. some vertex has degree >= 3: take it (kills >= 3 hyperedges);
     4. some vertex p has degree 1 (the least): its hyperedge e1 = {p, a, b},
        a < b, lies on a cycle, which enters and leaves e1 at a and b, so b
        has degree 2 and one other hyperedge e2. e2 lies on a cycle too, so
        it has a member other than b of degree 2; let v3 be the least and e3
-       its other hyperedge. Take v3 and drop e1, e2, e3: taking v3 kills e2
-       and e3, and leaves b of degree 1, so e1 lies on no cycle. No search
-       runs;
+       its other hyperedge. Take v3: that kills e2 and e3, and leaves b of
+       degree 1, so e1 lies on no cycle and rule 2 drops it. No search runs;
     5. otherwise the hypergraph is 2-regular: take a shortest cycle
        v1 e1 ... vk ek, let u_i be the third vertex of e_i and f_i the other
        hyperedge at u_i, and branch on k mod 3:
-         k = 0 (mod 3): take {v_i : i = 0 mod 3}, drop the k cycle hyperedges;
+         k = 0 (mod 3): take {v_i : i = 0 mod 3}; the k cycle hyperedges go;
          k = 1 (mod 3), f1 != f3 after rotating the labels by one if needed:
-           take {u1, u3} and {v_i : i = 0 mod 3, 4 <= i <= k}, drop the cycle
-           hyperedges plus f1, f3;
-         k = 1 (mod 3), f1 = f3 and f2 = f4: then k must be 4; take {u2, u4},
-           drop the cycle hyperedges plus f1, f2;
-         k = 2 (mod 3): take {u1} and {v_i : i = 1 mod 3, 4 <= i <= k}, drop
-           the cycle hyperedges plus f1.
+           take {u1, u3} and {v_i : i = 0 mod 3, 4 <= i <= k}; the cycle
+           hyperedges and f1, f3 go;
+         k = 1 (mod 3), f1 = f3 and f2 = f4: then k must be 4; take {u2, u4};
+           the cycle hyperedges and f1, f2 go;
+         k = 2 (mod 3): take {u1} and {v_i : i = 1 mod 3, 4 <= i <= k}; the
+           cycle hyperedges and f1 go.
+       The takes leave the named hyperedges they miss on no cycle, so rule
+       2 drops them.
 
-    Every rule removes at least three hyperedges per taken vertex, which gives
-    the floor(m/3) bound. Rule 2 searches for a cycle through a hyperedge
-    only when the 2-core peel kept it and no cycle found earlier still runs
-    through it. A result that leaves a cycle raises InvariantError. Input
-    that is not 3-uniform raises NotThreeUniformError, and 3-uniform input
-    that is not linear NotLinearError.
+    So every hyperedge leaves with a taken vertex or in one
+    drop_off_cycle_hyperedge step, and the trace replays from the input
+    alone. A take and the rule-2 sweep after it remove at least three
+    hyperedges per taken vertex: the floor(m/3) bound. Rule 2 searches for
+    a cycle through a hyperedge only when the 2-core peel kept it and no
+    cycle found earlier still runs through it. A result that leaves a cycle
+    raises InvariantError. Input that is not 3-uniform raises
+    NotThreeUniformError, and 3-uniform input that is not linear
+    NotLinearError.
     """
     _require_linear_3_uniform(h)
     return _feedback_vertex_set(h)
@@ -108,24 +114,25 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     already know h is 3-uniform and linear (triangle hypergraphs always are).
 
     The rules act on one working copy, deleting in place. Each loop sweeps
-    rule 2 over the off-cycle hyperedges in ascending id order while more
-    than two remain. That adds nothing to removed, and kills no kept cycle,
-    as none runs through them, so live and the voided hyperedges stay as
-    they were. A vertex on no cycle lies only in off-cycle hyperedges and
-    leaves incident with the last, so no vertex sweep is needed. One of
-    rules 3 to 5 follows; one union-find pass over the hyperedges the
+    rule 2 over all off-cycle hyperedges in ascending id order, and stops
+    when no hyperedge is left. That adds nothing to removed, and kills no kept
+    cycle, as none runs through them, so live and the voided hyperedges
+    stay as they were. A vertex on no cycle lies only in off-cycle
+    hyperedges and leaves incident with the last, so no vertex sweep is
+    needed. One of rules 3 to 5 follows and only takes vertices; the other
+    hyperedges its charge counts lie on no cycle after the takes, and the
+    next sweep drops them. One union-find pass over the hyperedges the
     removed vertices miss checks the result.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
     by_label, cursor = sorted(state.incident), 0  # rule 3 takes the least vertex of degree >= 3
-    while len(state.edges) > 2:
+    while True:
         for eid in sorted(state.off_cycle()):
-            if len(state.edges) > 2:
-                trace.append(("drop_off_cycle_hyperedge", (eid,)))
-                state.drop_edge(eid)
-        if len(state.edges) <= 2:
+            trace.append(("drop_off_cycle_hyperedge", (eid,)))
+            state.drop_edge(eid)
+        if not state.edges:
             break
 
         # Degrees only fall, so a vertex the cursor passed never reaches 3 again.
@@ -146,7 +153,8 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             # e2 lies on a cycle too, so besides b it has a member of degree
             # 2; v3 is the least, and e3 its other hyperedge. Taking v3 kills
             # e2 and e3 and leaves b of degree 1 like the pendant, so e1 lies
-            # on no cycle: three hyperedges go per taken vertex.
+            # on no cycle and the next rule-2 sweep drops it: three
+            # hyperedges go per taken vertex.
             (e1,) = state.incident[pendant]
             b = max(state.edges[e1] - {pendant})
             e2s = state.incident[b] - {e1}
@@ -159,8 +167,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             (e3,) = state.incident[v3] - {e2}
             removed.add(v3)
             trace.append(("take_vertex_past_pendant_edge", (pendant, e1, e2, e3, v3)))
-            for eid in (e1, e2, e3):
-                state.drop_edge(eid)
+            state.drop_vertex(v3)
             continue
 
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
@@ -189,19 +196,15 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         if k % 3 == 0:
             take = [vs[i - 1] for i in range(1, k + 1) if i % 3 == 0]
             trace.append(("break_cycle_len_0_mod_3", (k, *take)))
-            drop = set(es)
         elif k % 3 == 1:
             if fs[0] != fs[2] or fs[1] != fs[3]:
                 if fs[0] == fs[2]:
-                    # Rotating all labels by one turns (f2, f4) into the new
-                    # (f1, f3), which differ here.
+                    # Rotating the labels by one turns (f2, f4) into the new
+                    # (f1, f3), which differ here; only vs and us are read on.
                     vs = vs[1:] + vs[:1]
-                    es = es[1:] + es[:1]
                     us = us[1:] + us[:1]
-                    fs = fs[1:] + fs[:1]
                 take = [us[0], us[2]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 0]
                 trace.append(("break_cycle_len_1_mod_3", (k, *take)))
-                drop = set(es) | {fs[0], fs[2]}
             else:
                 # f1 = f3 and f2 = f4 force a 4-cycle through u1, u3, so the
                 # shortest cycle itself has length exactly 4.
@@ -209,14 +212,12 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
                     raise InvariantError(f"paired detours on a shortest cycle of length {k}, not 4")
                 take = [us[1], us[3]]
                 trace.append(("break_cycle_len_4_paired_detours", (k, *take)))
-                drop = set(es) | {fs[0], fs[1]}
         else:
             take = [us[0]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 1]
             trace.append(("break_cycle_len_2_mod_3", (k, *take)))
-            drop = set(es) | {fs[0]}
         removed.update(take)
-        for eid in drop:
-            state.drop_edge(eid)
+        for v in take:
+            state.drop_vertex(v)
 
     trace.append(("base", ()))
     if not _acyclic(e for e in h.hyperedges if removed.isdisjoint(e)):

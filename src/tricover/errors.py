@@ -41,7 +41,7 @@ class ExperimentSpecError(TricoverError, ValueError):
 
 
 class BudgetExceededError(TricoverError):
-    """An exact search ran past its instance-size, node, or time budget."""
+    """An exact search ran past its instance-size or node budget."""
 
 
 class InvariantError(RuntimeError):

@@ -2,14 +2,13 @@
 
 All searches are deterministic branch-and-bound or ordered subset
 enumeration. They are meant for desk-scale instances; a budget caps instance
-size, explored nodes, and wall-clock time, and blowing any cap raises
+size and explored nodes, and blowing either cap raises
 BudgetExceededError rather than ever returning a wrong answer. Graph oracles
 run them on the triangle hypergraph, scanned only once the edge cap holds.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,13 +22,13 @@ class OracleBudget:
     """Limits for exact searches.
 
     max_edges caps the instance size (graph edges or hyperedges, whichever
-    the oracle consumes); max_nodes caps explored search nodes; time_cap is
-    in seconds.
+    the oracle consumes); max_nodes caps explored search nodes. Both caps
+    are counts, so whether a search answers or refuses does not depend on
+    the host's speed.
     """
 
     max_edges: int = 40
     max_nodes: int = 5_000_000
-    time_cap: float = 60.0
 
 
 GRAPH_BUDGET = OracleBudget(max_edges=40)
@@ -38,13 +37,13 @@ HYPERGRAPH_BUDGET = OracleBudget(max_edges=14)
 
 class _Search:
     """One oracle call: h's (hyperedge id, members) items in id order, their
-    bitmasks, and node/time accounting.
+    bitmasks, and node accounting.
 
     bit[v] is 1 << k for the k-th smallest element v of the items' union,
     and masks[i] ORs the bits of item i, so bit positions are dense whatever
     the raw (negative or huge) vertex ids are."""
 
-    __slots__ = ("items", "bit", "masks", "budget", "nodes", "start")
+    __slots__ = ("items", "bit", "masks", "budget", "nodes")
 
     def __init__(self, h: Hypergraph, budget: OracleBudget):
         self.items = list(zip(h.hyperedge_ids, h.hyperedges))
@@ -52,14 +51,11 @@ class _Search:
         self.masks = [sum(map(self.bit.__getitem__, e)) for e in h.hyperedges]
         self.budget = budget
         self.nodes = 0
-        self.start = time.monotonic()
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise BudgetExceededError(f"search exceeded {self.budget.max_nodes} nodes")
-        if self.nodes % 4096 == 0 and time.monotonic() - self.start > self.budget.time_cap:
-            raise BudgetExceededError(f"search exceeded {self.budget.time_cap} seconds")
 
 
 def _check_size(count: int, budget: OracleBudget, what: str) -> None:

@@ -265,7 +265,7 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     trace: list[TraceStep] = []
     cur = h
     while True:
-        if cur.num_hyperedges <= 2:
+        if not cur.num_hyperedges:
             trace.append(("base", ()))
             break
 
@@ -299,7 +299,7 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
             e3 = next(f for f in cur.incident(v3) if f != e2)
             removed.add(v3)
             trace.append(("take_vertex_past_pendant_edge", (pendant, e1, e2, e3, v3)))
-            cur = delete_hyperedges(cur, (e1, e2, e3))
+            cur = delete_vertices(cur, (v3,))
             continue
 
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
@@ -330,20 +330,18 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
             take = [vs[i - 1] for i in range(1, k + 1) if i % 3 == 0]
             removed.update(take)
             trace.append(("break_cycle_len_0_mod_3", (k, *take)))
-            cur = delete_hyperedges(cur, es)
+            cur = delete_vertices(cur, take)
         elif k % 3 == 1:
             if fs[0] != fs[2] or fs[1] != fs[3]:
                 if fs[0] == fs[2]:
                     # Rotating all labels by one turns (f2, f4) into the new
                     # (f1, f3), which differ here.
                     vs = vs[1:] + vs[:1]
-                    es = es[1:] + es[:1]
                     us = us[1:] + us[:1]
-                    fs = fs[1:] + fs[:1]
                 take = [us[0], us[2]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 0]
                 removed.update(take)
                 trace.append(("break_cycle_len_1_mod_3", (k, *take)))
-                cur = delete_hyperedges(cur, set(es) | {fs[0], fs[2]})
+                cur = delete_vertices(cur, take)
             else:
                 # f1 = f3 and f2 = f4 force a 4-cycle through u1, u3, so the
                 # shortest cycle itself has length exactly 4.
@@ -352,11 +350,11 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
                 take = [us[1], us[3]]
                 removed.update(take)
                 trace.append(("break_cycle_len_4_paired_detours", (k, *take)))
-                cur = delete_hyperedges(cur, set(es) | {fs[0], fs[1]})
+                cur = delete_vertices(cur, take)
         else:
             take = [us[0]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 1]
             removed.update(take)
             trace.append(("break_cycle_len_2_mod_3", (k, *take)))
-            cur = delete_hyperedges(cur, set(es) | {fs[0]})
+            cur = delete_vertices(cur, take)
 
     return FvsResult(frozenset(removed), tuple(trace))

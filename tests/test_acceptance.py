@@ -268,7 +268,7 @@ def test_criterion_9_gadget_arithmetic():
         book_graph(2),
         Graph(4, [(0, 1), (1, 2), (2, 3)]),  # triangle-free path
     ]
-    budget = OracleBudget(max_edges=40, max_nodes=GRAPH_BUDGET.max_nodes, time_cap=GRAPH_BUDGET.time_cap)
+    budget = OracleBudget(max_edges=40, max_nodes=GRAPH_BUDGET.max_nodes)
     deltas = {"K4": (4, 6, 1, 2), "K5": (10, 10, 2, 4)}
     checked = 0
     for g in bases:

@@ -245,9 +245,11 @@ class TestPendantRule:
             dropped.clear()
             res = feedback_vertex_set(h)
             for _, (p, e1, e2, e3, v3) in (s for s in res.trace if s[0] == "take_vertex_past_pendant_edge"):
-                # The step drops e1, e2, e3 in a row; each hyperedge is dropped once.
-                i = dropped.index(e1)
-                assert dropped[i : i + 3] == [e1, e2, e3]
+                # Taking v3 drops e2 and e3 together, and a later rule-2 step
+                # drops e1; each hyperedge is dropped once.
+                i = min(dropped.index(e2), dropped.index(e3))
+                assert set(dropped[i : i + 2]) == {e2, e3}
+                assert dropped.index(e1) > i + 1 and ("drop_off_cycle_hyperedge", (e1,)) in res.trace
                 before = delete_hyperedges(h, dropped[:i])
                 assert max(map(before.degree, before.non_isolated_vertices())) <= 2
                 assert before.incident(p) == (e1,) and v3 in res.removed_vertices
@@ -284,6 +286,45 @@ class TestPendantRule:
             "1 vertex 2 of on-cycle hyperedge 0 has no single other hyperedge",
             "1 hyperedge 1 survived rule 2 but only 2 has degree 2",
         ]
+
+
+class TestTraceReplay:
+    """Every hyperedge leaves with a taken vertex or in one
+    drop_off_cycle_hyperedge step, so the trace replays on the input alone."""
+
+    # Where each take step lists its taken vertices.
+    TAKEN = {
+        "take_high_degree_vertex": slice(0, None),
+        "take_vertex_past_pendant_edge": slice(4, None),
+        "break_cycle_len_0_mod_3": slice(1, None),
+        "break_cycle_len_1_mod_3": slice(1, None),
+        "break_cycle_len_4_paired_detours": slice(1, None),
+        "break_cycle_len_2_mod_3": slice(1, None),
+    }
+
+    def test_replay_takes_the_removed_vertices_and_ends_empty(self):
+        # fvs_suite starts with the 2-regular fixtures.
+        corpus = fvs_suite() + pendant_cycles() + mixed_linear_corpus(seed=94, count=120, max_hyperedges=60)
+        drops = 0
+        for h in corpus:
+            res = feedback_vertex_set(h)
+            assert res.trace[-1] == ("base", ())
+            cur, taken = h, []
+            for rule, ids in res.trace[:-1]:
+                if rule == "drop_off_cycle_hyperedge":
+                    (eid,) = ids
+                    assert eid in cur.hyperedge_ids
+                    assert eid not in reference_fvs.on_cycle_elements(cur)[1]
+                    cur = delete_hyperedges(cur, ids)
+                    drops += 1
+                else:
+                    take = ids[self.TAKEN[rule]]
+                    assert take and set(take) <= cur.non_isolated_vertices()
+                    taken += take
+                    cur = delete_vertices(cur, take)
+            assert len(taken) == len(set(taken)) and set(taken) == res.removed_vertices
+            assert cur.num_hyperedges == 0
+        assert drops >= 1000
 
 
 class TestCycleCertificates:

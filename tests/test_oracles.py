@@ -159,7 +159,7 @@ class TestBudgets:
             max_matching(h)
 
     def test_node_cap(self):
-        budget = OracleBudget(max_edges=40, max_nodes=3, time_cap=60.0)
+        budget = OracleBudget(max_edges=40, max_nodes=3)
         with pytest.raises(BudgetExceededError):
             max_triangle_packing(complete_graph(6), budget)
 

@@ -150,6 +150,24 @@ class TestStandardLibraryRuntime:
         assert non_stdlib_imports(source) == ["numpy"]
 
 
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of a module's assert statements, which `python -O` strips."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+class TestNoAssertInThePackage:
+    """An assert guarding a state no test reaches vanishes under -O unseen;
+    package invariants raise explicitly instead."""
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_module_has_no_assert(self, module):
+        assert assert_lines((PACKAGE / module).read_text()) == []
+
+    def test_guard_catches_an_assert(self):
+        source = "def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n"
+        assert assert_lines(source) == [3]
+
+
 def private_package_imports(source: str) -> list[str]:
     """`_`-prefixed names a module imports from a tricover module."""
     return [
