@@ -3,11 +3,13 @@
 Two engines:
 
 * `feedback_vertex_set` removes at most floor(m/3) vertices from an m-edge
-  linear 3-uniform hypergraph and leaves it acyclic. Until no hyperedge is
-  left, it drops those on no cycle (rule 2) and takes vertices by one of
-  rules 3 to 5. They mutate one `hypergraph._WorkingState`, whose peel and
-  cycle searches decide rule 2. Rule 4 reads only degrees, and rule 5
-  searches for a shortest cycle.
+  linear 3-uniform hypergraph and leaves it acyclic. It drops the
+  hyperedges the 2-core peel takes off, then takes vertices of the highest
+  degree while one has degree >= 3 (rule 3), with no search. Then, until
+  no hyperedge is left, it drops those on no cycle (rule 2) and takes
+  vertices by rule 4 or 5. The rules mutate one `hypergraph._WorkingState`,
+  whose peel and cycle searches decide rule 2. Rule 4 reads only degrees,
+  and rule 5 searches for a shortest cycle.
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
@@ -17,6 +19,7 @@ Two engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Collection
 
 from .errors import InvariantError, NotLinearError, NotThreeUniformError
@@ -57,15 +60,15 @@ class FesResult:
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """Feedback vertex set of a linear 3-uniform hypergraph, size <= floor(m/3).
 
-    Rules, tried in order at every level (isolated vertices are never
-    touched):
+    Rules (isolated vertices are never touched):
 
     1. no hyperedge left: done. With at most two left, none lies on a cycle
        (a linear cycle needs 3), so rule 2 drops them;
     2. some hyperedge lies on no cycle: drop it (a vertex on no cycle lies
        only in such hyperedges and goes with the last of them). It takes
        no vertex, and no other rule drops a hyperedge by itself;
-    3. some vertex has degree >= 3: take it (kills >= 3 hyperedges);
+    3. some vertex has degree >= 3: take one of the highest degree, the
+       least on ties (kills >= 3 hyperedges);
     4. some vertex p has degree 1 (the least): its hyperedge e1 = {p, a, b},
        a < b, lies on a cycle, which enters and leaves e1 at a and b, so b
        has degree 2 and one other hyperedge e2. e2 lies on a cycle too, so
@@ -86,15 +89,22 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
        The takes leave the named hyperedges they miss on no cycle, so rule
        2 drops them.
 
+    They run in three phases. First rule 2 drops the hyperedges that the
+    2-core peel takes off, in ascending id order, with no search. Then rule
+    3 takes vertices until every degree is at most 2; it reads no cycle, so
+    no search runs before it is done, and degrees only fall, so it never
+    applies again. Last, until no hyperedge is left, rule 2 drops every
+    hyperedge found on no cycle, then rule 4 or else rule 5 takes vertices.
+    Rule 2 searches for a cycle through a hyperedge only when the peel kept
+    it and no cycle found earlier still runs through it.
+
     So every hyperedge leaves with a taken vertex or in one
     drop_off_cycle_hyperedge step, and the trace replays from the input
     alone. A take and the rule-2 sweep after it remove at least three
-    hyperedges per taken vertex: the floor(m/3) bound. Rule 2 searches for
-    a cycle through a hyperedge only when the 2-core peel kept it and no
-    cycle found earlier still runs through it. A result that leaves a cycle
-    raises InvariantError. Input that is not 3-uniform raises
-    NotThreeUniformError, and 3-uniform input that is not linear
-    NotLinearError.
+    hyperedges per taken vertex: the floor(m/3) bound. A result that leaves
+    a cycle or exceeds that bound raises InvariantError. Input that is not
+    3-uniform raises NotThreeUniformError, and 3-uniform input that is not
+    linear NotLinearError.
     """
     _require_linear_3_uniform(h)
     return _feedback_vertex_set(h)
@@ -113,37 +123,49 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """feedback_vertex_set without its precondition checks, for callers that
     already know h is 3-uniform and linear (triangle hypergraphs always are).
 
-    The rules act on one working copy, deleting in place. Each loop sweeps
-    rule 2 over all off-cycle hyperedges in ascending id order, and stops
-    when no hyperedge is left. That adds nothing to removed, and kills no kept
-    cycle, as none runs through them, so live and the voided hyperedges
-    stay as they were. A vertex on no cycle lies only in off-cycle
-    hyperedges and leaves incident with the last, so no vertex sweep is
-    needed. One of rules 3 to 5 follows and only takes vertices; the other
-    hyperedges its charge counts lie on no cycle after the takes, and the
-    next sweep drops them. One union-find pass over the hyperedges the
-    removed vertices miss checks the result.
+    The rules act on one working copy, deleting in place. The peeled
+    hyperedges go first. Rule 3 then pops a lazy max-heap of (-degree,
+    vertex): a stale entry is pushed again while its degree is still at
+    least 3, and dropped otherwise. Each later loop sweeps rule 2 over all
+    off-cycle hyperedges in ascending id order, and stops when no hyperedge
+    is left. That adds nothing to removed, and kills no kept cycle, as none
+    runs through them, so live and the voided hyperedges stay as they were.
+    A vertex on no cycle lies only in off-cycle hyperedges and leaves
+    incident with the last, so no vertex sweep is needed. Rule 4 or 5
+    follows and only takes vertices; the other hyperedges its charge counts
+    lie on no cycle after the takes, and the next sweep drops them. One
+    union-find pass over the hyperedges the removed vertices miss checks
+    the result, and a count checks the floor(m/3) bound.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
     trace: list[TraceStep] = []
-    by_label, cursor = sorted(state.incident), 0  # rule 3 takes the least vertex of degree >= 3
+    for eid in sorted(state._peeled):
+        trace.append(("drop_off_cycle_hyperedge", (eid,)))
+        state.drop_edge(eid)
+
+    # Rule 3, highest degree first. A heap entry's degree is never below its
+    # vertex's current degree, as degrees only fall, so a popped entry that
+    # is still current is the highest degree, least label on ties.
+    heap = [(-len(eids), v) for v, eids in state.incident.items() if len(eids) >= 3]
+    heapify(heap)
+    while heap:
+        neg, high = heappop(heap)
+        degree = len(state.incident.get(high, ()))
+        if degree != -neg:
+            if degree >= 3:
+                heappush(heap, (-degree, high))
+            continue
+        removed.add(high)
+        trace.append(("take_high_degree_vertex", (high,)))
+        state.drop_vertex(high)
+
     while True:
         for eid in sorted(state.off_cycle()):
             trace.append(("drop_off_cycle_hyperedge", (eid,)))
             state.drop_edge(eid)
         if not state.edges:
             break
-
-        # Degrees only fall, so a vertex the cursor passed never reaches 3 again.
-        while cursor < len(by_label) and len(state.incident.get(by_label[cursor], ())) < 3:
-            cursor += 1
-        if cursor < len(by_label):
-            high = by_label[cursor]
-            removed.add(high)
-            trace.append(("take_high_degree_vertex", (high,)))
-            state.drop_vertex(high)
-            continue
 
         pendant = min((v for v, eids in state.incident.items() if len(eids) == 1), default=None)
         if pendant is not None:
@@ -222,6 +244,8 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     trace.append(("base", ()))
     if not _acyclic(e for e in h.hyperedges if removed.isdisjoint(e)):
         raise InvariantError("the removed vertices leave a cycle")
+    if len(removed) > h.num_hyperedges // 3:
+        raise InvariantError(f"{len(removed)} removed vertices exceed floor(m/3) = {h.num_hyperedges // 3}")
     return FvsResult(frozenset(removed), tuple(trace))
 
 

@@ -252,16 +252,6 @@ class _WorkingState:
     cycle, so dropping one kills only the cycles through it, and only a
     hyperedge left with no live cycle is voided, to be searched again.
 
-    The searches follow the order in which FVS deletes: it removes vertices
-    in ascending label order, and triangle-hypergraph ids ascend with their
-    least member. The first off_cycle searches from the highest id down, and
-    _certify grows its regions from the members in ascending order. The
-    cycles kept that way tend to die together with the hyperedges they
-    certify, so few survivors need a second search. On dense triangle
-    hypergraphs about a twentieth as many searches re-certify a survivor as
-    in ascending id order. On-cycle sets are unique, so the order changes
-    no answer.
-
     The search marks live here, allocated once per state and reused by
     every _certify, so a search allocates no dict: per vertex id, _region
     (its region's stamp) and _via (the hyperedge it was reached by); per
@@ -283,7 +273,7 @@ class _WorkingState:
         self.incident = {v: set(h.incident(v)) for v in h.non_isolated_vertices()}
         self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
         self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
-        self._voided = list(reversed(self.edges))  # to search at the next off_cycle; highest id first
+        self._voided = list(self.edges)  # to search at the next off_cycle
         self._region, self._via = _marks(h.vertices)
         self._edge_stamp, self._entered = _marks(self.edges)
         self._next_base = 1  # every mark starts at 0, below it
@@ -336,8 +326,7 @@ class _WorkingState:
     def _certify(self, eid: int) -> bool:
         """Find and keep cycles through eid, or return False when there is none.
 
-        One BFS grows a region from each member of eid, with eid banned,
-        starting from the members in ascending order (the class says why). A
+        One BFS grows a region from each member of eid, with eid banned. A
         hyperedge f entered from vertex x of one region that holds a vertex
         w of another closes a cycle with eid: the region paths to x and w
         lie in different BFS trees, and f was entered only now. The search
@@ -355,7 +344,7 @@ class _WorkingState:
         """
         edges, incident, live, through = self.edges, self.incident, self.live, self._through
         region, via, edge_stamp, entered = self._region, self._via, self._edge_stamp, self._entered
-        members = sorted(edges[eid])
+        members = edges[eid]
         base = self._next_base
         self._next_base = base + len(members) + 1
         for r, v in enumerate(members):

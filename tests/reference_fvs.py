@@ -1,10 +1,12 @@
 """Reference implementations kept for differential tests.
 
 `feedback_vertex_set` is the original engine: it rebuilds the hypergraph
-after every deletion and recomputes cycle membership from scratch on every
-step, with its own bridge computation (`_bridge_edges`, `on_cycle_elements`)
-and the pairwise linearity scan (`is_linear_pairwise`). Rule 4 searches
-nothing: it reads degrees and incidences off the rebuilt hypergraph. Rule 5's
+after every deletion. It peels the 2-core and takes the high-degree
+vertices with degree counts of its own, then recomputes cycle membership
+from scratch on every step, with its own bridge computation
+(`_bridge_edges`, `on_cycle_elements`) and the pairwise linearity scan
+(`is_linear_pairwise`). Rule 4 searches nothing: it reads degrees and
+incidences off the rebuilt hypergraph. Rule 5's
 `shortest_cycle`, with its `_girth` pre-pass and the canonical form
 `_canonical`, runs BFS over an encoded incidence adjacency
 (`_incidence_adj`). None of them call the package's search code, so the
@@ -253,8 +255,10 @@ def shortest_cycle(h: Hypergraph) -> Cycle | None:
 
 
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
-    """The original five-rule engine; the rules are documented on
-    tricover.cyclebreak.feedback_vertex_set.
+    """The original five-rule engine, after the peel and the high-degree
+    takes; the rules are documented on tricover.cyclebreak.feedback_vertex_set.
+    Degrees only fall, so its rule 3 never fires after the takes: if it
+    did, its least-label take would differ from the package's trace.
     """
     if not is_k_uniform(h, 3):
         raise NotThreeUniformError("feedback_vertex_set requires a 3-uniform hypergraph")
@@ -264,6 +268,23 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     removed: set[int] = set()
     trace: list[TraceStep] = []
     cur = h
+    # Rule 2 before any take: the 2-core peel. A hyperedge with fewer than
+    # two members of degree >= 2 hangs off the rest and lies on no cycle.
+    peeled: list[int] = []
+    while shed := [eid for eid in cur.hyperedge_ids if sum(cur.degree(v) >= 2 for v in cur.hyperedge(eid)) < 2]:
+        peeled += shed
+        cur = delete_hyperedges(cur, shed)
+    trace += [("drop_off_cycle_hyperedge", (eid,)) for eid in sorted(peeled)]
+
+    # Rule 3 before any search: the highest degree, least label on ties.
+    while cur.num_hyperedges:
+        high = max(cur.non_isolated_vertices(), key=lambda v: (cur.degree(v), -v))
+        if cur.degree(high) < 3:
+            break
+        removed.add(high)
+        trace.append(("take_high_degree_vertex", (high,)))
+        cur = delete_vertices(cur, (high,))
+
     while True:
         if not cur.num_hyperedges:
             trace.append(("base", ()))

@@ -53,7 +53,7 @@ def fvs_suite() -> list[Hypergraph]:
     rng = random.Random(900)
     suite = list(two_regular_fixtures())
     suite.append(bridged_blocks())
-    suite += [random_linear_3_uniform(rng, rng.randint(6, 30), rng.randint(1, 25)) for _ in range(60)]
+    suite += [random_linear_3_uniform(rng, rng.randint(6, 30), rng.randint(1, 25)) for _ in range(80)]
     suite += random_graph_hypergraphs(seed=901, count=30)
     suite += [triangle_hypergraph(complete_graph(n)) for n in (4, 5, 6)]
     return suite
@@ -237,7 +237,7 @@ class TestPendantRule:
         suites = {
             "fvs_suite": fvs_suite,
             "pendant_cycles": pendant_cycles,
-            "random_linear": lambda: mixed_linear_corpus(seed=94, count=120, max_hyperedges=60),
+            "random_linear": lambda: mixed_linear_corpus(seed=94, count=180, max_hyperedges=60),
             "bridged_blocks": lambda: [random_bridged_blocks(rng, rng.randint(3, 9)) for _ in range(60)],
         }
         steps = 0
@@ -263,13 +263,19 @@ class TestPendantRule:
         assert steps >= {"fvs_suite": 30, "pendant_cycles": 20, "random_linear": 60, "bridged_blocks": 100}[corpus]
 
     def test_off_cycle_pendant_hyperedge_raises_under_optimize(self):
-        # With rule 2 stubbed out, rule 4 meets a pendant hyperedge on no
-        # cycle: b has no other hyperedge, or e2 has no second member of
-        # degree 2. -O strips asserts, so both checks must raise explicitly.
+        # With rule 2 stubbed out, the peel and the sweeps alike, rule 4
+        # meets a pendant hyperedge on no cycle: b has no other hyperedge,
+        # or e2 has no second member of degree 2. -O strips asserts, so both
+        # checks must raise explicitly.
         code = (
             "import sys\n"
             "import tricover.cyclebreak as cb\n"
             "from tricover import Hypergraph, InvariantError\n"
+            "init = cb._WorkingState.__init__\n"
+            "def unpeeled(state, h):\n"
+            "    init(state, h)\n"
+            "    state._peeled = set()\n"
+            "cb._WorkingState.__init__ = unpeeled\n"
             "cb._WorkingState.off_cycle = lambda state: []\n"
             "for edges in ([(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 1, 2), (2, 3, 4), (5, 6, 7)]):\n"
             "    try:\n"
@@ -452,24 +458,36 @@ class TestCycleCertificates:
         # Hyperedges certified by a cycle another search closed.
         assert unsearched >= 500
 
-    @pytest.mark.parametrize("n", [16, 20])
-    def test_dense_fvs_rarely_searches_after_its_first_sweep(self, monkeypatch, n):
-        # The search order follows the order in which FVS deletes, so the kept
-        # cycles die with the hyperedges they certify and few survivors need
-        # a second search. In ascending id order at least 13% of the
-        # hyperedges are searched again here; in this order at most 3.7%.
-        # Int hashes are unsalted, so the counts are the same on every run.
-        calls: list[str] = []
-        off_cycle, certify = _WorkingState.off_cycle, _WorkingState._certify
-        monkeypatch.setattr(_WorkingState, "off_cycle", lambda state: calls.append("sweep") or off_cycle(state))
-        monkeypatch.setattr(_WorkingState, "_certify", lambda state, eid: calls.append("search") or certify(state, eid))
-        for seed in range(5):
-            h = triangle_hypergraph(random_gnp(n, 0.95, seed))
-            calls.clear()
+    def test_no_search_while_rule_3_applies(self, monkeypatch):
+        # Rule 3 reads no cycle, so FVS takes every vertex of degree >= 3
+        # before its first search.
+        calls: list[int] = []
+        certify = _WorkingState._certify
+
+        def spy(state: _WorkingState, eid: int) -> bool:
+            assert max(map(len, state.incident.values())) <= 2
+            calls.append(eid)
+            return certify(state, eid)
+
+        monkeypatch.setattr(_WorkingState, "_certify", spy)
+        rng = random.Random("certificates/degree")
+        suite = mixed_linear_corpus(seed=97, count=120, max_hyperedges=60) + [
+            triangle_hypergraph(random_gnp(rng.randint(8, 20), 0.95, rng.randrange(1 << 30))) for _ in range(10)
+        ]
+        for h in suite:
             _feedback_vertex_set(h)
-            # Everything from the second sweep on follows the first off_cycle.
-            second = calls.index("sweep", calls.index("sweep") + 1)
-            assert calls[second:].count("search") <= 0.05 * h.num_hyperedges
+        assert len(calls) >= 500
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_dense_fvs_makes_no_search(self, monkeypatch, n):
+        # The high-degree takes leave nothing of G(n, 0.95)'s triangle
+        # hypergraph on a cycle.
+        calls: list[int] = []
+        certify = _WorkingState._certify
+        monkeypatch.setattr(_WorkingState, "_certify", lambda state, eid: calls.append(eid) or certify(state, eid))
+        for seed in range(5):
+            _feedback_vertex_set(triangle_hypergraph(random_gnp(n, 0.95, seed)))
+        assert calls == []
 
     def test_acyclic_input_is_peeled_without_a_search(self, monkeypatch):
         searched: list[int] = []
@@ -504,6 +522,33 @@ class TestCycleCertificates:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
         ).stdout
         assert out.splitlines() == ["1 the removed vertices leave a cycle"] * 2
+
+    def test_size_check_raises_under_optimize(self):
+        # When a take drops only the least hyperedge of its vertex, a take
+        # kills one hyperedge, not three, and FVS takes more than floor(m/3)
+        # vertices. Deleting them from the input leaves it acyclic, so only
+        # the size check stops the result, explicitly, as -O strips asserts;
+        # the fvs route must fail there too.
+        code = (
+            "import sys\n"
+            "import tricover.cyclebreak as cb\n"
+            "from tricover import InvariantError, complete_graph, cover_via_fvs, fano_plane\n"
+            "cb._WorkingState.drop_vertex = lambda state, v: state.drop_edge(min(state.incident[v]))\n"
+            "for run in (lambda: cb.feedback_vertex_set(fano_plane()), lambda: cover_via_fvs(complete_graph(5))):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except InvariantError as ex:\n"
+            "        print(sys.flags.optimize, ex)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        assert out.splitlines() == [
+            "1 5 removed vertices exceed floor(m/3) = 2",
+            "1 7 removed vertices exceed floor(m/3) = 3",
+        ]
 
 
 class TestSearchMarks:
