@@ -6,12 +6,16 @@ whenever a hyperedge is not yet hit, its attachment vertex on the root side
 joins the transversal and the hyperedge joins the matching. The two sets come
 out the same size; since every matching is at most as large as every
 transversal, equal sizes certify that both are optimal.
+
+The one solver, `_solve`, reads plain mappings and skips incident ids that
+are not hyperedges to solve, so the cover routes solve a remainder in
+place: the instance's incidence map with the hyperedges their breaker spares.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .errors import CyclicInputError, EmptyHyperedgeError
 from .hypergraph import Hypergraph
@@ -50,26 +54,32 @@ def solve_acyclic(h: Hypergraph) -> DualPair:
     Raises EmptyHyperedgeError when some hyperedge has no vertices (it could
     not be attached to any tree), and CyclicInputError on cyclic input.
     """
-    for eid, e in zip(h.hyperedge_ids, h.hyperedges):
+    for eid, e in h._edges.items():
         if not e:
             raise EmptyHyperedgeError(f"hyperedge {eid} is empty")
+    return _solve(h._edges, h._incident)
 
+
+def _solve(edges: Mapping[int, frozenset[int]], incident: Mapping[int, Iterable[int]]) -> DualPair:
+    """solve_acyclic on `edges`, none empty, whose members are all keys of
+    incident; incident ids not in edges are skipped. Roots are tried in
+    ascending order, and the BFS stops once it has entered every hyperedge."""
     vertex_depth: dict[int, int] = {}
     edge_depth: dict[int, int] = {}
     entry: dict[int, int] = {}
-    for root in sorted(h.vertices):
-        if root in vertex_depth:
+    unreached = dict(edges)
+    for root in sorted(incident):
+        if not unreached or root in vertex_depth:
             continue
         vertex_depth[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for eid in h.incident(v):
-                if eid in edge_depth:
+        queue = [root]
+        for v in queue:
+            for eid in incident[v]:
+                if (e := unreached.pop(eid, None)) is None:
                     continue
                 depth = edge_depth[eid] = vertex_depth[v] + 1
                 entry[eid] = v
-                for w in h.hyperedge(eid):
+                for w in e:
                     if w in vertex_depth:
                         if w != v:
                             raise CyclicInputError("hypergraph has a cycle")
@@ -79,8 +89,8 @@ def solve_acyclic(h: Hypergraph) -> DualPair:
 
     transversal: set[int] = set()
     matching: set[int] = set()
-    for eid in sorted(h.hyperedge_ids, key=lambda e: (-edge_depth[e], e)):
-        if h.hyperedge(eid).isdisjoint(transversal):
+    for eid in sorted(edges, key=lambda e: (-edge_depth[e], e)):
+        if edges[eid].isdisjoint(transversal):
             transversal.add(entry[eid])
             matching.add(eid)
     return DualPair(frozenset(transversal), frozenset(matching))

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .acyclic import DualPair, solve_acyclic
+from .acyclic import DualPair, _solve
 from .cyclebreak import _feedback_vertex_set, _require_linear_3_uniform, minimal_fes
-from .errors import IsolatedVertexError
+from .errors import CyclicInputError, InvariantError, IsolatedVertexError
 from .graph import Graph, _first_fit, bipartite_cut_cover
-from .hypergraph import Hypergraph, delete_hyperedges, delete_vertices, triangle_hypergraph
+from .hypergraph import Hypergraph, triangle_hypergraph
 from .oracles import GRAPH_BUDGET, HYPERGRAPH_BUDGET, _max_disjoint, _Search, _capped_triangle_hypergraph, max_matching
 
 
@@ -47,7 +47,7 @@ class CoverCertificate:
 
     cover holds graph edge ids, or vertex ids for the hypergraph form.
     breaker is the cycle-breaking part: the removed feedback vertices for the
-    fvs strategy, or the per-dropped-hyperedge picks for the fes strategy.
+    fvs strategy, or for fes the set of the dropped hyperedges' least vertices.
     fes_hyperedges maps each dropped hyperedge id to its members, in id order.
     residual_pair is the exact transversal/matching pair of the acyclic
     remainder (absent for the bipartite strategy). claimed_bound is the
@@ -86,12 +86,20 @@ def cover_is_valid(g: Graph, cover: frozenset[int]) -> bool:
     return True
 
 
+def _residual_pair(h: Hypergraph, kept: dict[int, frozenset[int]], route: str) -> DualPair:
+    """The exact pair of h's hyperedges kept, solved in place; a cycle there is a bug in the breaker."""
+    try:
+        return _solve(kept, h._incident)
+    except CyclicInputError:
+        raise InvariantError(f"the {route} route's remainder has a cycle") from None
+
+
 def _via_fvs(h: Hypergraph) -> CoverCertificate:
     """fvs route on a linear 3-uniform hypergraph: a feedback vertex set,
     then the exact solve of the acyclic remainder."""
     res = _feedback_vertex_set(h)
     breaker = res.removed_vertices
-    pair = solve_acyclic(delete_vertices(h, breaker))
+    pair = _residual_pair(h, {eid: e for eid, e in h._edges.items() if breaker.isdisjoint(e)}, "fvs")
     claimed = Fraction(h.num_hyperedges, 3) + len(pair.matching)
     return CoverCertificate("fvs", breaker | pair.transversal, claimed, breaker, pair, trace=res.trace)
 
@@ -101,7 +109,7 @@ def _via_fes(h: Hypergraph) -> CoverCertificate:
     dropped hyperedge, then the exact solve of the acyclic remainder."""
     dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h).removed_hyperedges)}
     picks = frozenset(min(e) for e in dropped.values())
-    pair = solve_acyclic(delete_hyperedges(h, dropped))
+    pair = _residual_pair(h, {eid: e for eid, e in h._edges.items() if eid not in dropped}, "fes")
     claimed = Fraction(len(pair.matching) + len(dropped))
     return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)
 

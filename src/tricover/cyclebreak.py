@@ -268,14 +268,15 @@ def is_minimal_fes(h: Hypergraph, removed: Collection[int]) -> bool:
 
     One union-find pass over the residual (h without `removed`). When the
     residual is acyclic, a hyperedge re-added to it closes a cycle exactly
-    when two of its vertices are already joined; when the residual is itself
-    cyclic, every re-addition leaves that cycle, so the answer is True.
+    when link refuses it, joining nothing, so any() stops at the first that
+    closes none; when the residual is itself cyclic, every re-addition leaves
+    that cycle, so the answer is True.
     """
     forest = _Forest()
     for eid, e in zip(h.hyperedge_ids, h.hyperedges):
         if eid not in removed and not forest.link(e):
             return True
-    return all(forest.closes_cycle(h.hyperedge(f)) for f in removed)
+    return not any(forest.link(h.hyperedge(f)) for f in removed)
 
 
 def fes_size_bound(h: Hypergraph) -> int | None:

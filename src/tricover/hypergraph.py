@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import Collection, Iterable, Mapping
 
 from .errors import InvariantError
@@ -151,7 +151,8 @@ def components(h: Hypergraph) -> tuple[Component, ...]:
     """
     forest = _Forest()
     for e in h.hyperedges:
-        forest.join(e)
+        for pair in pairwise(e):  # False only for a pair already joined
+            forest.link(pair)
     verts: dict[int, list[int]] = {}
     for v in sorted(h.vertices):
         verts.setdefault(forest.find(v), []).append(v)
@@ -185,10 +186,10 @@ def delete_hyperedges(h: Hypergraph, edge_ids: Iterable[int]) -> Hypergraph:
 class _Forest:
     """Union-find over vertices, grown one hyperedge at a time.
 
-    Linking a hyperedge joins its vertices. While the linked hyperedges form
-    an acyclic hypergraph, a further hyperedge closes a cycle exactly when two
-    of its vertices are already joined.
-    """
+    A vertex not in _parent is its own root; a walk to a root halves its
+    path, so no order of links builds a long chain. While the linked
+    hyperedges are acyclic, one more closes a cycle exactly when two of its
+    vertices are already joined."""
 
     __slots__ = ("_parent",)
 
@@ -196,32 +197,28 @@ class _Forest:
         self._parent: dict[int, int] = {}
 
     def find(self, x: int) -> int:
-        parent = self._parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def closes_cycle(self, e: Collection[int]) -> bool:
-        return len({self.find(v) for v in e}) < len(e)
-
-    def join(self, vs: Iterable[int]) -> None:
-        """Join the vertices vs, whether or not that closes a cycle."""
-        roots = [self.find(v) for v in vs]
-        for r in roots[1:]:
-            self._parent[r] = roots[0]
+        parent, get = self._parent, self._parent.get
+        while (up := get(x)) is not None:
+            if (top := get(up)) is None:
+                return up
+            parent[x] = x = top
+        return x
 
     def link(self, e: Collection[int]) -> bool:
         """Join e's vertices and return True; return False, joining nothing,
-        when e closes a cycle."""
-        roots = {self.find(v) for v in e}
-        if len(roots) < len(e):
-            return False
-        parent, root = self._parent, next(iter(roots), None)
-        for r in roots:
-            parent[r] = root
+        when e closes a cycle. It inlines the walk of find."""
+        parent, get, roots = self._parent, self._parent.get, []
+        for v in e:
+            while (up := get(v)) is not None:
+                if (top := get(up)) is None:
+                    v = up
+                    break
+                parent[v] = v = top
+            if v in roots:
+                return False
+            roots.append(v)
+        for r in roots[1:]:
+            parent[r] = roots[0]
         return True
 
 
@@ -232,8 +229,7 @@ def is_acyclic(h: Hypergraph) -> bool:
 
 def _acyclic(hyperedges: Iterable[frozenset[int]]) -> bool:
     """True when the given hyperedges form no cycle: one union-find pass."""
-    forest = _Forest()
-    return all(forest.link(e) for e in hyperedges)
+    return all(map(_Forest().link, hyperedges))
 
 
 class _WorkingState:

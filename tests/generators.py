@@ -221,6 +221,17 @@ def random_graph_hypergraphs(seed: int, count: int, max_hyperedges: int = 40) ->
     return out
 
 
+HUGE = 2**40
+ODD_IDS = [-(2**50), -7, -1, 0, 3, 1000, HUGE, HUGE + 1, 2**63, 10**30]
+
+
+def relabelled(h: Hypergraph, rng: random.Random) -> Hypergraph:
+    """h with its vertices renamed to distinct negative, sparse or huge ids."""
+    pool = ODD_IDS + rng.sample(range(-(10**6), 10**6), len(h.vertices))
+    names = dict(zip(sorted(h.vertices), rng.sample(pool, len(h.vertices))))
+    return Hypergraph(names.values(), [[names[v] for v in e] for e in h.hyperedges])
+
+
 def mixed_linear_corpus(seed: int, count: int, max_hyperedges: int = 40) -> list[Hypergraph]:
     """Random linear 3-uniform hypergraphs of varied density and size."""
     rng = random.Random(seed)

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -12,8 +14,10 @@ import tricover.cli
 import tricover.cover
 from tricover import (
     BudgetExceededError,
+    CoverCertificate,
     Graph,
     Hypergraph,
+    InvariantError,
     IsolatedVertexError,
     NotLinearError,
     NotThreeUniformError,
@@ -36,13 +40,24 @@ from tricover import (
     min_transversal,
     min_triangle_cover,
     random_gnp,
+    solve_acyclic,
     triangle_hypergraph,
 )
+from tricover.cyclebreak import FesResult, FvsResult, _feedback_vertex_set, minimal_fes
 from tricover.graph import _first_fit
+from tricover.hypergraph import delete_hyperedges, delete_vertices
 from tricover.graph import _triangle_scan
 from tricover.oracles import HYPERGRAPH_BUDGET
 
-from generators import book_graph, random_linear_3_uniform, small_graph_corpus, two_regular_fixtures
+from generators import (
+    book_graph,
+    mixed_linear_corpus,
+    random_cubic_duals,
+    random_linear_3_uniform,
+    relabelled,
+    small_graph_corpus,
+    two_regular_fixtures,
+)
 
 
 def assert_certificate_sound(g: Graph, cert) -> None:
@@ -467,3 +482,95 @@ class TestTwoApproximationUnderConditions:
         g = book_graph(4)
         nu, _ = max_triangle_packing(g)
         assert best_cover(g).size <= 2 * nu
+
+
+def composed_via_fvs(h: Hypergraph) -> CoverCertificate:
+    """The fvs route as it was composed before it solved in place: the
+    remainder is rebuilt as a hypergraph and solved by solve_acyclic."""
+    res = _feedback_vertex_set(h)
+    breaker = res.removed_vertices
+    pair = solve_acyclic(delete_vertices(h, breaker))
+    claimed = Fraction(h.num_hyperedges, 3) + len(pair.matching)
+    return CoverCertificate("fvs", breaker | pair.transversal, claimed, breaker, pair, trace=res.trace)
+
+
+def composed_via_fes(h: Hypergraph) -> CoverCertificate:
+    """The fes route composed the same way, on a rebuilt remainder."""
+    dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h).removed_hyperedges)}
+    picks = frozenset(min(e) for e in dropped.values())
+    pair = solve_acyclic(delete_hyperedges(h, dropped))
+    claimed = Fraction(len(pair.matching) + len(dropped))
+    return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)
+
+
+def route_corpora() -> dict[str, list[Hypergraph]]:
+    rng = random.Random(71)
+    mixed = mixed_linear_corpus(seed=71, count=80)
+    gnp = [random_gnp(n, p, seed) for n in (6, 9, 12, 15) for p in (0.4, 0.7, 0.95) for seed in range(3)]
+    return {
+        "mixed-linear": mixed,
+        "cubic-duals": random_cubic_duals(seed=71, count=25),
+        "gnp-triangles": [triangle_hypergraph(g) for g in gnp],
+        "relabelled": [relabelled(h, rng) for h in mixed[:40]],
+    }
+
+
+ROUTE_CORPORA = route_corpora()
+
+
+class TestRemainderSolvedInPlace:
+    """Each route solves its acyclic remainder on the instance's own
+    mappings; its certificate must equal the one from a rebuilt remainder."""
+
+    @pytest.mark.parametrize("family", ROUTE_CORPORA)
+    def test_routes_equal_the_composed_reference(self, family):
+        for k, h in enumerate(ROUTE_CORPORA[family]):
+            assert (k, tricover.cover._via_fvs(h)) == (k, composed_via_fvs(h))
+            assert (k, tricover.cover._via_fes(h)) == (k, composed_via_fes(h))
+
+    def test_corpora_reach_both_kinds_of_remainder(self):
+        # Some remainders keep several components and matched hyperedges,
+        # and some routes drop every hyperedge, so both BFS ends are run.
+        certs = [route(h) for hs in ROUTE_CORPORA.values() for h in hs for route in (composed_via_fvs, composed_via_fes)]
+        assert any(len(cert.residual_pair.matching) >= 3 for cert in certs)
+        assert any(not cert.residual_pair.matching for cert in certs)
+
+    STUBS = {
+        "fvs": ("_feedback_vertex_set", lambda h: FvsResult(frozenset(), ())),
+        "fes": ("minimal_fes", lambda h: FesResult(frozenset())),
+    }
+
+    @pytest.mark.parametrize("route", STUBS)
+    def test_cyclic_remainder_is_an_internal_error(self, monkeypatch, route):
+        # A breaker that breaks nothing leaves K_4's four triangles, a
+        # cycle. That is a bug in the route, not bad input: InvariantError,
+        # never the CyclicInputError that the CLI reports with exit code 3.
+        monkeypatch.setattr(tricover.cover, *self.STUBS[route])
+        entry = cover_via_fvs if route == "fvs" else cover_via_fes
+        message = f"the {route} route's remainder has a cycle"
+        with pytest.raises(InvariantError, match=message):
+            entry(complete_graph(4))
+        k4 = Path(__file__).parent / "golden" / "inputs" / "k4.txt"
+        for strategy in (route, "best"):
+            with pytest.raises(InvariantError, match=message):
+                tricover.cli.main(["cover", str(k4), "--strategy", strategy])
+
+    @pytest.mark.parametrize("route", STUBS)
+    def test_cli_exit_code_is_not_bad_input(self, route):
+        # The same stub in a child process: the CLI exits through the
+        # uncaught InvariantError (status 1), not with status 3.
+        name = self.STUBS[route][0]
+        stub = "cb.FvsResult(frozenset(), ())" if route == "fvs" else "cb.FesResult(frozenset())"
+        k4 = Path(__file__).parent / "golden" / "inputs" / "k4.txt"
+        code = (
+            "import sys\n"
+            "import tricover.cli, tricover.cover, tricover.cyclebreak as cb\n"
+            f"tricover.cover.{name} = lambda h: {stub}\n"
+            f"sys.exit(tricover.cli.main(['cover', {str(k4)!r}, '--strategy', {route!r}]))\n"
+        )
+        src = Path(tricover.cover.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert f"InvariantError: the {route} route's remainder has a cycle" in out.stderr
+        assert "error: hypergraph has a cycle" not in out.stderr

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -21,16 +22,21 @@ from tricover import (
     random_gnp,
     triangle_hypergraph,
 )
-from tricover.hypergraph import _shortest_cycle
+import tricover.oracles as oracles
+from tricover.cyclebreak import is_minimal_fes, minimal_fes
+from tricover.hypergraph import _Forest, _shortest_cycle
 
 import reference_fvs
 from generators import (
+    ODD_IDS,
     book_graph,
     mixed_linear_corpus,
     random_acyclic_forest,
     random_cubic_duals,
     random_graph_hypergraphs,
     random_linear_3_uniform,
+    relabelled,
+    small_graph_corpus,
     two_regular_fixtures,
 )
 from reference_fvs import is_linear_pairwise, validate_cycle
@@ -206,6 +212,168 @@ class TestComponents:
             p = len(components(h))
             eid = rng.choice(h.hyperedge_ids)
             assert len(components(delete_hyperedges(h, [eid]))) <= p + 2
+
+
+def incidence_components(vertices, edges: dict) -> list[tuple[frozenset, tuple]]:
+    """Reference components: a BFS over the incidence graph, whose nodes are
+    the vertices and the hyperedge ids. Each component is (vertices, ascending
+    hyperedge ids), listed by least vertex; an empty hyperedge is left out."""
+    holders: dict = {v: [] for v in vertices}
+    for eid, e in edges.items():
+        for v in e:
+            holders[v].append(eid)
+    seen_v: set = set()
+    out = []
+    for root in sorted(vertices):
+        if root in seen_v:
+            continue
+        seen_v.add(root)
+        comp_v, comp_e, queue = {root}, set(), deque([root])
+        while queue:
+            for eid in holders[queue.popleft()]:
+                if eid not in comp_e:
+                    comp_e.add(eid)
+                    fresh = edges[eid] - seen_v
+                    seen_v |= fresh
+                    comp_v |= fresh
+                    queue.extend(fresh)
+        out.append((frozenset(comp_v), tuple(sorted(comp_e))))
+    return out
+
+
+def incidence_is_forest(vertices, edges: dict) -> bool:
+    """Reference acyclicity: the incidence graph is a forest exactly when it
+    has as many edges (memberships) as nodes minus components. An empty
+    hyperedge is a node of its own."""
+    nodes = len(vertices) + len(edges)
+    comps = len(incidence_components(vertices, edges)) + sum(1 for e in edges.values() if not e)
+    return sum(map(len, edges.values())) == nodes - comps
+
+
+def messy_hypergraph(rng: random.Random) -> Hypergraph:
+    """A non-uniform hypergraph over negative, huge and small ids, with
+    singleton hyperedges, repeated hyperedges and now and then an empty one."""
+    names = rng.sample(ODD_IDS + list(range(-12, 12)), rng.randint(1, 14))
+    edges: list = []
+    for _ in range(rng.randint(0, 12)):
+        if edges and rng.random() < 0.15:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(rng.sample(names, min(len(names), rng.choice((0, 1, 1, 2, 2, 3, 3, 4)))))
+    return Hypergraph(names, edges)
+
+
+MESSY = [messy_hypergraph(random.Random(k)) for k in range(400)]
+
+
+def forest_partition(forest: _Forest, vertices) -> frozenset:
+    classes: dict = {}
+    for v in vertices:
+        classes.setdefault(forest.find(v), set()).add(v)
+    return frozenset(map(frozenset, classes.values()))
+
+
+class TestUnionFind:
+    """_Forest and each of its users against BFS over the incidence graph."""
+
+    def test_corpus_has_the_awkward_cases(self):
+        hyperedges = [e for h in MESSY for e in h.hyperedges]
+        assert sum(len(e) == 1 for e in hyperedges) >= 200
+        assert sum(len(set(h.hyperedges)) < h.num_hyperedges for h in MESSY) >= 100
+        assert sum(min(h.vertices) < 0 for h in MESSY) >= 200
+        assert 50 <= sum(is_acyclic(h) for h in MESSY) <= 350
+
+    def test_link_follows_the_reference_partition(self):
+        refused = 0
+        for h in MESSY:
+            forest, linked = _Forest(), {}
+            for eid, e in zip(h.hyperedge_ids, h.hyperedges):
+                before = forest_partition(forest, h.vertices)
+                ok = forest.link(e)
+                assert ok == incidence_is_forest(h.vertices, {**linked, eid: e})
+                if ok:
+                    linked[eid] = e
+                else:
+                    refused += 1
+                    assert forest_partition(forest, h.vertices) == before
+                expected = frozenset(vs for vs, _ in incidence_components(h.vertices, linked))
+                assert forest_partition(forest, h.vertices) == expected
+        assert refused >= 300
+
+    def test_long_chains_are_halved(self):
+        # Each hyperedge's fresh vertex 8k iterates first, so link hangs the
+        # old root under it and vertex 7's path grows by one per hyperedge;
+        # halving keeps every walk short, and the partition stays right.
+        forest = _Forest()
+        for k in range(1, 3001):
+            e = frozenset((7, 8 * k, 8 * k + 1))
+            assert next(iter(e)) == 8 * k
+            assert forest.link(e)
+        path = [7]
+        while path[-1] in forest._parent and len(path) < 10:
+            path.append(forest._parent[path[-1]])
+        assert len(path) <= 3
+        assert len({forest.find(v) for k in range(1, 3001) for v in (7, 8 * k, 8 * k + 1)}) == 1
+
+    def test_users_agree_with_the_reference(self):
+        rng = random.Random(5)
+        for h in MESSY:
+            edges = dict(zip(h.hyperedge_ids, h.hyperedges))
+            assert is_acyclic(h) == incidence_is_forest(h.vertices, edges)
+            kept: dict = {}
+            for eid, e in edges.items():
+                if incidence_is_forest(h.vertices, {**kept, eid: e}):
+                    kept[eid] = e
+            greedy = frozenset(edges) - frozenset(kept)
+            assert minimal_fes(h).removed_hyperedges == greedy
+            for removed in (greedy, frozenset(rng.sample(list(edges), rng.randint(0, len(edges))))):
+                rest = {eid: e for eid, e in edges.items() if eid not in removed}
+                expected = all(not incidence_is_forest(h.vertices, {**rest, f: edges[f]}) for f in removed)
+                assert is_minimal_fes(h, removed) == expected
+            assert [(c.vertices, c.hyperedge_ids) for c in components(h)] == incidence_components(
+                h.vertices, {eid: e for eid, e in edges.items() if e}
+            )
+
+    @pytest.mark.parametrize("vertices", [True, False], ids=["vertex", "edge"])
+    def test_feedback_set_oracles_search_the_same_nodes(self, monkeypatch, vertices):
+        # The exact oracles test each subset, in order, with one union-find
+        # pass. Replaying the same subsets with the reference check must
+        # give the same answer after the same number of nodes.
+        searches = []
+
+        class Recorded(oracles._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        monkeypatch.setattr(oracles, "_Search", Recorded)
+        rng = random.Random(9)
+        corpus = mixed_linear_corpus(seed=9, count=40, max_hyperedges=12)
+        corpus += [triangle_hypergraph(g) for g in small_graph_corpus(seed=9, count=30, max_edges=14)]
+        corpus += [relabelled(h, rng) for h in corpus[:20]]
+        oracle = oracles.min_feedback_vertex_set if vertices else oracles.min_feedback_edge_set
+        total = 0
+        for h in corpus:
+            if h.num_hyperedges > oracles.HYPERGRAPH_BUDGET.max_edges:
+                continue
+            k, drop = oracle(h)
+            edges = dict(zip(h.hyperedge_ids, h.hyperedges))
+            verts_on, edges_on = on_cycle_elements(h)
+            nodes, found = 0, None
+            for size in range(1, len(verts_on if vertices else edges_on) + 1):
+                for combo in combinations(sorted(verts_on if vertices else edges_on), size):
+                    nodes += 1
+                    spared = {
+                        eid: e for eid, e in edges.items() if (e.isdisjoint(combo) if vertices else eid not in combo)
+                    }
+                    if incidence_is_forest(h.vertices, spared):
+                        found = (size, frozenset(combo))
+                        break
+                if found:
+                    break
+            assert (k, drop, searches[-1].nodes) == (*(found or (0, frozenset())), nodes)
+            total += nodes
+        assert total >= 200
 
 
 class TestDeletions:

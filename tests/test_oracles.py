@@ -26,7 +26,7 @@ from tricover import (
     triangle_hypergraph,
 )
 
-from generators import random_acyclic_forest, random_linear_3_uniform, small_graph_corpus
+from generators import HUGE, ODD_IDS, random_acyclic_forest, random_linear_3_uniform, relabelled, small_graph_corpus
 import reference_oracles
 
 
@@ -204,17 +204,6 @@ class TestBudgets:
         h = triangle_hypergraph(complete_graph(5))  # 10 edges, 10 hyperedges
         nu, _ = max_matching(h, OracleBudget(max_edges=20))
         assert nu == 2
-
-
-HUGE = 2**40
-ODD_IDS = [-(2**50), -7, -1, 0, 3, 1000, HUGE, HUGE + 1, 2**63, 10**30]
-
-
-def relabelled(h: Hypergraph, rng: random.Random) -> Hypergraph:
-    """h with its vertices renamed to distinct negative, sparse or huge ids."""
-    pool = ODD_IDS + rng.sample(range(-(10**6), 10**6), len(h.vertices))
-    names = dict(zip(sorted(h.vertices), rng.sample(pool, len(h.vertices))))
-    return Hypergraph(names.values(), [[names[v] for v in e] for e in h.hyperedges])
 
 
 def pairs_and_an_empty_item(rng: random.Random) -> Hypergraph:
