@@ -30,7 +30,7 @@ from .cover import (
 from .cyclebreak import feedback_vertex_set, fes_size_bound, is_minimal_fes, minimal_fes
 from .errors import BudgetExceededError, GraphFormatError, TricoverError
 from .experiment import ESTIMATORS, RECORD_COLUMNS, ExperimentSpec, run_experiment, write_csv
-from .hypergraph import delete_hyperedges, delete_vertices, is_acyclic
+from .hypergraph import are_acyclic
 from .io import parse_graph, parse_hypergraph
 
 SCHEMA = 1
@@ -122,26 +122,26 @@ def _cmd_hypergraph(args) -> dict:
 
 def _cmd_fvs(h, labels) -> dict:
     result = feedback_vertex_set(h)
-    residual = delete_vertices(h, result.removed_vertices)
     bound = h.num_hyperedges // 3
     return {
         "fvs": [labels[v] for v in sorted(result.removed_vertices)],
         "fvs_size": len(result.removed_vertices),
         "bound": bound,
         "bound_holds": len(result.removed_vertices) <= bound,
-        "residual_acyclic": is_acyclic(residual),
+        "residual_acyclic": are_acyclic(e for e in h.hyperedges if result.removed_vertices.isdisjoint(e)),
     }
 
 
 def _cmd_fes(h, labels) -> dict:
     result = minimal_fes(h)
-    residual = delete_hyperedges(h, result.removed_hyperedges)
     size = len(result.removed_hyperedges)
     bound = fes_size_bound(h)
     return {
         "fes": sorted(result.removed_hyperedges),
         "fes_size": size,
-        "residual_acyclic": is_acyclic(residual),
+        "residual_acyclic": are_acyclic(
+            e for eid, e in zip(h.hyperedge_ids, h.hyperedges) if eid not in result.removed_hyperedges
+        ),
         "minimal": is_minimal_fes(h, result.removed_hyperedges),
         "bound": bound,
         "bound_holds": None if bound is None else size <= bound,

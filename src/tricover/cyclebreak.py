@@ -25,10 +25,10 @@ from typing import Collection
 from .errors import InvariantError, NotLinearError, NotThreeUniformError
 from .hypergraph import (
     Hypergraph,
-    _acyclic,
     _Forest,
     _shortest_cycle,
     _WorkingState,
+    are_acyclic,
     components,
     is_k_uniform,
     is_linear,
@@ -242,7 +242,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             state.drop_vertex(v)
 
     trace.append(("base", ()))
-    if not _acyclic(e for e in h.hyperedges if removed.isdisjoint(e)):
+    if not are_acyclic(e for e in h.hyperedges if removed.isdisjoint(e)):
         raise InvariantError("the removed vertices leave a cycle")
     if len(removed) > h.num_hyperedges // 3:
         raise InvariantError(f"{len(removed)} removed vertices exceed floor(m/3) = {h.num_hyperedges // 3}")

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, InvariantError
 from .graph import Graph, PackingWitness, Triangle, _first_fit
-from .hypergraph import Hypergraph, _acyclic, on_cycle_elements, triangle_hypergraph
+from .hypergraph import Hypergraph, are_acyclic, on_cycle_elements, triangle_hypergraph
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tu
         for combo in combinations(candidates, k):
             search.tick()
             drop = frozenset(combo)
-            if _acyclic(e for eid, e in search.items if (drop.isdisjoint(e) if vertices else eid not in drop)):
+            if are_acyclic(e for eid, e in search.items if (drop.isdisjoint(e) if vertices else eid not in drop)):
                 return k, drop
     raise InvariantError("deleting every on-cycle element left a cycle")
 

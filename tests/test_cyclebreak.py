@@ -551,18 +551,17 @@ class TestCycleCertificates:
         ]
 
 
-class TestSearchMarks:
-    """The working copy keeps its search marks in lists indexed by id when
-    the ids are dense, and in dicts over the ids otherwise. Relabelled input
-    that takes the dicts must give the answers of its ascending renumbering
-    to 0..n-1, relabelled."""
+class TestArbitraryIds:
+    """The cycle search marks vertices and hyperedges by id, whatever the
+    ids are. Relabelled input must give the answers of its ascending
+    renumbering to 0..n-1, relabelled."""
 
     # Each relabelling is increasing, so every order FVS reads is kept; each
-    # puts one kind of id outside the range the lists take.
+    # puts one kind of id outside 0..n-1.
     RELABEL = {
         "negative_vertices": (lambda v, n: v - n, lambda e, m: e),
         "sparse_vertices": (lambda v, n: 5 * v + 4, lambda e, m: e),
-        # 2**40 list slots would not fit in memory.
+        # Marks sized by the largest id would need 2**40 slots.
         "huge_vertex": (lambda v, n: v if v < n - 1 else 2**40, lambda e, m: e),
         "sparse_hyperedges": (lambda v, n: v, lambda e, m: 5 * e + 4),
     }
@@ -586,7 +585,7 @@ class TestSearchMarks:
         return tuple(out)
 
     @pytest.mark.parametrize("relabel", sorted(RELABEL))
-    def test_dict_marks_give_the_answers_of_the_renumbering(self, relabel):
+    def test_relabelled_input_gives_the_answers_of_the_renumbering(self, relabel):
         rng = random.Random(f"marks/{relabel}")
         suite = [fano_plane(), *random_cubic_duals(seed=95, count=20), *mixed_linear_corpus(seed=96, count=40)]
         # Bridged blocks have off-cycle hyperedges whose members all lie on cycles.
@@ -608,12 +607,6 @@ class TestSearchMarks:
                 frozenset(vmap.values()),
                 {emap[eid]: frozenset(vmap[v] for v in e) for eid, e in zip(plain.hyperedge_ids, plain.hyperedges)},
             )
-            state = _WorkingState(plain)
-            assert isinstance(state._region, list) and isinstance(state._edge_stamp, list)
-            state = _WorkingState(moved)
-            assert isinstance(state._region, dict) == any(vmap[v] != v for v in vmap)
-            assert isinstance(state._edge_stamp, dict) == any(emap[e] != e for e in emap)
-
             res, expected = feedback_vertex_set(moved), feedback_vertex_set(plain)
             assert res.removed_vertices == {vmap[v] for v in expected.removed_vertices}
             assert res.trace == self.map_trace(expected.trace, vmap, emap)
