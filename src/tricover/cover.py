@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .acyclic import DualPair, _solve
-from .cyclebreak import _feedback_vertex_set, _require_linear_3_uniform, minimal_fes
+from .cyclebreak import _feedback_vertex_set, _require_linear_3_uniform, _split_fes
 from .errors import CyclicInputError, InvariantError, IsolatedVertexError
 from .graph import Graph, _first_fit, bipartite_cut_cover
 from .hypergraph import Hypergraph, triangle_hypergraph
@@ -107,9 +107,9 @@ def _via_fvs(h: Hypergraph) -> CoverCertificate:
 def _via_fes(h: Hypergraph) -> CoverCertificate:
     """fes route: a minimal feedback edge set, the least vertex of each
     dropped hyperedge, then the exact solve of the acyclic remainder."""
-    dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h).removed_hyperedges)}
+    kept, dropped = _split_fes(h)
     picks = frozenset(min(e) for e in dropped.values())
-    pair = _residual_pair(h, {eid: e for eid, e in h._edges.items() if eid not in dropped}, "fes")
+    pair = _residual_pair(h, kept, "fes")
     claimed = Fraction(len(pair.matching) + len(dropped))
     return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)
 

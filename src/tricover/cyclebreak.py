@@ -5,15 +5,18 @@ Two engines:
 * `feedback_vertex_set` removes at most floor(m/3) vertices from an m-edge
   linear 3-uniform hypergraph and leaves it acyclic. It drops the
   hyperedges the 2-core peel takes off, then takes vertices of the highest
-  degree while one has degree >= 3 (rule 3), with no search. Then, until
-  no hyperedge is left, it drops those on no cycle (rule 2) and takes
-  vertices by rule 4 or 5. The rules mutate one `hypergraph._WorkingState`,
-  whose peel and cycle searches decide rule 2. Rule 4 reads only degrees,
-  and rule 5 searches for a shortest cycle.
+  degree while one has degree >= 3 (rule 3), with no search. If rule 3
+  took any, it peels again, so the searches stay inside the 2-core it
+  left. Then, until no hyperedge is left, it drops those on no cycle
+  (rule 2) and takes vertices by rule 4 or 5. The rules mutate one
+  `hypergraph._WorkingState`, whose peels and cycle searches decide rule
+  2. A peel only spares searches that would fail, so rule 2 stays exact.
+  Rule 4 reads only degrees, and rule 5 searches for a shortest cycle.
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
-  count.
+  count. Its one union-find scan, `_split_fes`, returns the kept and the
+  dropped hyperedges, which the fes route uses as they are.
 """
 
 from __future__ import annotations
@@ -93,10 +96,13 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     2-core peel takes off, in ascending id order, with no search. Then rule
     3 takes vertices until every degree is at most 2; it reads no cycle, so
     no search runs before it is done, and degrees only fall, so it never
-    applies again. Last, until no hyperedge is left, rule 2 drops every
-    hyperedge found on no cycle, then rule 4 or else rule 5 takes vertices.
-    Rule 2 searches for a cycle through a hyperedge only when the peel kept
-    it and no cycle found earlier still runs through it.
+    applies again. If it took a vertex, the 2-core is peeled again. Last,
+    until no hyperedge is left, rule 2 drops every hyperedge found on no
+    cycle, then rule 4 or else rule 5 takes vertices. Rule 2 searches for
+    a cycle through a hyperedge only when the last peel kept it and no
+    cycle found earlier still runs through it. A peeled hyperedge lies on
+    no cycle, so the peels only spare searches that would fail: every
+    2-core hyperedge is still searched, and rule 2 stays exact.
 
     So every hyperedge leaves with a taken vertex or in one
     drop_off_cycle_hyperedge step, and the trace replays from the input
@@ -126,7 +132,12 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     The rules act on one working copy, deleting in place. The peeled
     hyperedges go first. Rule 3 then pops a lazy max-heap of (-degree,
     vertex): a stale entry is pushed again while its degree is still at
-    least 3, and dropped otherwise. Each later loop sweeps rule 2 over all
+    least 3, and dropped otherwise. When rule 3 took a vertex, the copy
+    peels again: rule 3 leaves many hyperedges on no cycle, which the first
+    sweep would otherwise search, each failed search walking its whole
+    component. Nothing has been searched yet, so every survivor is still
+    voided, and the first sweep reports the newly peeled ones with no
+    search. Each later loop sweeps rule 2 over all
     off-cycle hyperedges in ascending id order, and stops when no hyperedge
     is left. That adds nothing to removed, and kills no kept cycle, as none
     runs through them, so live and the voided hyperedges stay as they were.
@@ -159,6 +170,8 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         removed.add(high)
         trace.append(("take_high_degree_vertex", (high,)))
         state.drop_vertex(high)
+    if removed:
+        state.peel()
 
     while True:
         for eid in sorted(state.off_cycle()):
@@ -258,8 +271,18 @@ def minimal_fes(h: Hypergraph) -> FesResult:
     no cycle. An incremental union-find over the kept part implements that
     test.
     """
+    return FesResult(frozenset(_split_fes(h)[1]))
+
+
+def _split_fes(h: Hypergraph) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
+    """(kept, dropped) of minimal_fes's scan, each hyperedge id -> members in
+    id order: the fes route's acyclic remainder and its feedback edge set."""
     forest = _Forest()
-    return FesResult(frozenset(eid for eid, e in zip(h.hyperedge_ids, h.hyperedges) if not forest.link(e)))
+    kept: dict[int, frozenset[int]] = {}
+    dropped: dict[int, frozenset[int]] = {}
+    for eid, e in h._edges.items():
+        (kept if forest.link(e) else dropped)[eid] = e
+    return kept, dropped
 
 
 def is_minimal_fes(h: Hypergraph, removed: Collection[int]) -> bool:

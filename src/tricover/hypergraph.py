@@ -241,14 +241,17 @@ class _WorkingState:
     non-isolated vertex to the ids of its surviving hyperedges. A vertex
     leaves incident with its last hyperedge: deleting it means no more.
 
-    The constructor peels the incidence graph to its 2-core once: a hyperedge
-    with at most one member left in another unpeeled one is on no cycle. The
-    first off_cycle reports the peeled hyperedges and searches the rest. A
-    cycle a search closes is kept whole, as its hyperedge ids: live counts,
-    per hyperedge, the kept cycles through it that survive, so its keys are
-    the hyperedges known to be on a cycle. Deleting hyperedges creates no
-    cycle, so dropping one kills only the cycles through it, and only a
-    hyperedge left with no live cycle is voided, to be searched again.
+    peel takes the incidence graph to its 2-core: a hyperedge with at most
+    one member left in another unpeeled one is on no cycle. The constructor
+    peels, and FVS peels again after rule 3 has taken a vertex, before any
+    search. off_cycle reports the voided hyperedges the last peel took off
+    with no search, and searches the rest, so a peel only spares searches
+    that would fail. A cycle a search closes is kept whole, as its
+    hyperedge ids: live counts, per hyperedge, the kept cycles through it
+    that survive, so its keys are the hyperedges known to be on a cycle.
+    Deleting hyperedges creates no cycle, so dropping one kills only the
+    cycles through it, and only a hyperedge left with no live cycle is
+    voided, to be searched again.
 
     The kept cycles stand in for fully dynamic 2-edge-connectivity (Holm,
     de Lichtenberg and Thorup, J. ACM 2001), which is too much code. Both
@@ -268,6 +271,13 @@ class _WorkingState:
         self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
         self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
         self._voided = list(self.edges)  # to search at the next off_cycle
+        self.peel()
+
+    def peel(self) -> None:
+        """Set _peeled to the hyperedges that peeling the incidence graph to
+        its 2-core takes off now. None lies on a cycle, and deleting
+        hyperedges creates none, so off_cycle reports them with no search.
+        The constructor peels once; FVS peels again after rule 3."""
         # degree: per vertex, its hyperedges not yet popped off the stack;
         # shared: per unpeeled hyperedge, its members of degree 2 or more.
         degree = {v: len(eids) for v, eids in self.incident.items()}

@@ -43,7 +43,7 @@ from tricover import (
     solve_acyclic,
     triangle_hypergraph,
 )
-from tricover.cyclebreak import FesResult, FvsResult, _feedback_vertex_set, minimal_fes
+from tricover.cyclebreak import FvsResult, _feedback_vertex_set, minimal_fes
 from tricover.graph import _first_fit
 from tricover.hypergraph import delete_hyperedges, delete_vertices
 from tricover.graph import _triangle_scan
@@ -537,7 +537,7 @@ class TestRemainderSolvedInPlace:
 
     STUBS = {
         "fvs": ("_feedback_vertex_set", lambda h: FvsResult(frozenset(), ())),
-        "fes": ("minimal_fes", lambda h: FesResult(frozenset())),
+        "fes": ("_split_fes", lambda h: (dict(h._edges), {})),
     }
 
     @pytest.mark.parametrize("route", STUBS)
@@ -560,7 +560,7 @@ class TestRemainderSolvedInPlace:
         # The same stub in a child process: the CLI exits through the
         # uncaught InvariantError (status 1), not with status 3.
         name = self.STUBS[route][0]
-        stub = "cb.FvsResult(frozenset(), ())" if route == "fvs" else "cb.FesResult(frozenset())"
+        stub = "cb.FvsResult(frozenset(), ())" if route == "fvs" else "(dict(h._edges), {})"
         k4 = Path(__file__).parent / "golden" / "inputs" / "k4.txt"
         code = (
             "import sys\n"

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -25,7 +26,7 @@ from tricover import (
     triangle_hypergraph,
 )
 import tricover.cyclebreak
-from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, is_minimal_fes
+from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, _split_fes, is_minimal_fes
 
 import reference_fvs
 from generators import (
@@ -47,6 +48,14 @@ def brute_min_fvs_size(h: Hypergraph) -> int:
             if is_acyclic(delete_vertices(h, combo)):
                 return k
     raise AssertionError
+
+
+def two_core(h: Hypergraph) -> frozenset[int]:
+    """Reference peel: the hyperedge ids left once every hyperedge with
+    fewer than two members of degree >= 2 is deleted, repeatedly."""
+    while shed := [eid for eid in h.hyperedge_ids if sum(h.degree(v) >= 2 for v in h.hyperedge(eid)) < 2]:
+        h = delete_hyperedges(h, shed)
+    return frozenset(h.hyperedge_ids)
 
 
 def fvs_suite() -> list[Hypergraph]:
@@ -471,12 +480,55 @@ class TestCycleCertificates:
 
         monkeypatch.setattr(_WorkingState, "_certify", spy)
         rng = random.Random("certificates/degree")
-        suite = mixed_linear_corpus(seed=97, count=120, max_hyperedges=60) + [
+        suite = mixed_linear_corpus(seed=97, count=440, max_hyperedges=60) + [
             triangle_hypergraph(random_gnp(rng.randint(8, 20), 0.95, rng.randrange(1 << 30))) for _ in range(10)
         ]
         for h in suite:
             _feedback_vertex_set(h)
         assert len(calls) >= 500
+
+    def test_first_sweep_after_rule_3_searches_only_the_2_core(self, monkeypatch):
+        # Once rule 3 has taken a vertex, FVS peels again, so its first
+        # sweep searches no hyperedge outside the 2-core that rule 3 left.
+        sweeps: list[tuple[frozenset[int], list[int]]] = []  # per off_cycle: (2-core then, searched)
+        certify, off_cycle = _WorkingState._certify, _WorkingState.off_cycle
+
+        def recording_off_cycle(state: _WorkingState) -> list[int]:
+            core = two_core(Hypergraph._from_parts(frozenset(state.incident), state.edges)) if not sweeps else None
+            sweeps.append((core, []))
+            return off_cycle(state)
+
+        monkeypatch.setattr(_WorkingState, "off_cycle", recording_off_cycle)
+        monkeypatch.setattr(_WorkingState, "_certify", lambda state, eid: sweeps[-1][1].append(eid) or certify(state, eid))
+        rng = random.Random("certificates/second-peel")
+        suite = (
+            mixed_linear_corpus(seed=98, count=160, max_hyperedges=60)
+            + fvs_suite()
+            + random_cubic_duals(seed=98, count=20)
+            + [
+                triangle_hypergraph(random_gnp(rng.randint(6, 14), rng.uniform(0.3, 0.8), rng.randrange(1 << 30)))
+                for _ in range(40)
+            ]
+        )
+        checked = 0
+        for h in suite:
+            sweeps.clear()
+            res = _feedback_vertex_set(h)
+            if sweeps and any(name == "take_high_degree_vertex" for name, _ in res.trace):
+                core, searched = sweeps[0]
+                assert core.issuperset(searched)
+                checked += len(searched)
+        assert checked >= 100
+
+    def test_search_count_is_pinned(self, monkeypatch):
+        # The count is host-independent, like the oracle's node counts. It
+        # is 1,153 when FVS does not peel again after rule 3.
+        calls: list[int] = []
+        certify = _WorkingState._certify
+        monkeypatch.setattr(_WorkingState, "_certify", lambda state, eid: calls.append(eid) or certify(state, eid))
+        for h in mixed_linear_corpus(seed=97, count=120, max_hyperedges=60):
+            _feedback_vertex_set(h)
+        assert len(calls) == 182
 
     @pytest.mark.parametrize("n", [16, 20])
     def test_dense_fvs_makes_no_search(self, monkeypatch, n):
@@ -549,6 +601,42 @@ class TestCycleCertificates:
             "1 5 removed vertices exceed floor(m/3) = 2",
             "1 7 removed vertices exceed floor(m/3) = 3",
         ]
+
+
+class TestPinnedAnswers:
+    """FVS answers on fixed generated corpora, pinned by one digest: a change
+    that keeps every answer keeps it, and one that changes an answer must
+    regenerate it and say so. Print the current value with
+    PYTHONPATH=src python tests/test_cyclebreak.py."""
+
+    # sha256 over repr((sorted removed vertices, trace)) of every instance.
+    FVS_DIGEST = "0c8aa55f7be5ad47322b4e3120c226d45986ea93660e2291c5576966925cdc77"
+
+    @staticmethod
+    def corpus() -> list[Hypergraph]:
+        return (
+            fvs_suite()
+            + two_regular_fixtures()
+            + random_cubic_duals(seed=95, count=40)
+            + mixed_linear_corpus(seed=96, count=200, max_hyperedges=80)
+            + [
+                triangle_hypergraph(random_gnp(n, p, seed))
+                for n in (8, 12, 16, 20)
+                for p in (0.3, 0.6, 0.95)
+                for seed in range(3)
+            ]
+        )
+
+    @classmethod
+    def digest(cls) -> str:
+        digest = hashlib.sha256()
+        for h in cls.corpus():
+            res = _feedback_vertex_set(h)
+            digest.update(repr((sorted(res.removed_vertices), res.trace)).encode())
+        return digest.hexdigest()
+
+    def test_fvs_answers_match_the_pinned_digest(self):
+        assert self.digest() == self.FVS_DIGEST
 
 
 class TestArbitraryIds:
@@ -676,6 +764,24 @@ class TestMinimalFes:
         res = minimal_fes(h)
         assert is_acyclic(delete_hyperedges(h, res.removed_hyperedges))
 
+    def test_split_matches_minimal_fes_on_mixed_arity_input(self):
+        # CLI fes accepts any arity, so the split that the fes route uses
+        # must give minimal_fes's answer there too.
+        rng = random.Random("fes/mixed-arity")
+        drops = 0
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            h = Hypergraph(range(n), [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 15))])
+            kept, dropped = _split_fes(h)
+            removed = minimal_fes(h).removed_hyperedges
+            assert removed == frozenset(dropped)
+            assert list(kept) == sorted(kept) and list(dropped) == sorted(dropped)
+            assert kept.keys().isdisjoint(dropped) and {**kept, **dropped} == h._edges
+            assert is_acyclic(Hypergraph(range(n), kept.values()))
+            assert is_minimal_fes(h, removed)
+            drops += len(dropped)
+        assert drops >= 300
+
 
 class TestStructuralCounts:
     def test_connected_acyclic_vertex_count(self):
@@ -694,3 +800,7 @@ class TestStructuralCounts:
     )
     def test_fes_bound_is_none_off_its_domain(self, h):
         assert fes_size_bound(h) is None
+
+
+if __name__ == "__main__":
+    print(TestPinnedAnswers.digest())
