@@ -62,14 +62,15 @@ def solve_acyclic(h: Hypergraph) -> DualPair:
 
 def _solve(edges: Mapping[int, frozenset[int]], incident: Mapping[int, Iterable[int]]) -> DualPair:
     """solve_acyclic on `edges`, none empty, whose members are all keys of
-    incident; incident ids not in edges are skipped. Roots are tried in
-    ascending order, and the BFS stops once it has entered every hyperedge."""
+    incident; incident ids not in edges are skipped. Roots are the members
+    of edges in ascending order, so a small remainder of a large instance
+    reads only the incidences of its own vertices."""
     vertex_depth: dict[int, int] = {}
     edge_depth: dict[int, int] = {}
     entry: dict[int, int] = {}
     unreached = dict(edges)
-    for root in sorted(incident):
-        if not unreached or root in vertex_depth:
+    for root in sorted({v for e in edges.values() for v in e}):
+        if root in vertex_depth:
             continue
         vertex_depth[root] = 0
         queue = [root]

@@ -5,15 +5,16 @@ Three cover routes, each returning a certificate with an audit trail:
 * fvs: break every cycle of the triangle hypergraph by removing at most a
   third of its hyperedges' worth of vertices (graph edges), then solve the
   acyclic remainder exactly;
-* fes: drop a minimal set of hyperedges (triangles) instead, pick one graph
-  edge from each dropped triangle, and solve the acyclic remainder exactly;
+* fes: drop a minimal set of hyperedges (triangles) instead, pick the least
+  graph edge of each, and solve exactly the kept triangles the picks miss;
 * bipartite: keep the edges of a large bipartition cut and return the rest.
 
 Every certificate's cover is a genuine triangle cover; the claimed bound is
 the certified size guarantee that held at construction time.
 
-The fvs and fes routes are one pipeline, `_via_fvs` and `_via_fes`, with
-two entry points. A triangle cover is a transversal of the triangle
+The fvs and fes routes are one pipeline with two entry points: `_via_fvs`
+and `_via_fes` break the cycles, and `_route` solves exactly the hyperedges
+their breaker misses. A triangle cover is a transversal of the triangle
 hypergraph, whose vertex ids are the graph's edge ids, so the graph entry
 points build that hypergraph once per call and keep the routes'
 transversals as they are. hypergraph_cover runs the same routes on any
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .acyclic import DualPair, _solve
-from .cyclebreak import _feedback_vertex_set, _require_linear_3_uniform, _split_fes
+from .cyclebreak import _feedback_vertex_set, _fes_hyperedges, _require_linear_3_uniform
 from .errors import CyclicInputError, InvariantError, IsolatedVertexError
 from .graph import Graph, _first_fit, bipartite_cut_cover
 from .hypergraph import Hypergraph, triangle_hypergraph
@@ -50,8 +51,9 @@ class CoverCertificate:
     fvs strategy, or for fes the set of the dropped hyperedges' least vertices.
     fes_hyperedges maps each dropped hyperedge id to its members, in id order.
     residual_pair is the exact transversal/matching pair of the acyclic
-    remainder (absent for the bipartite strategy). claimed_bound is the
-    certified size guarantee; the cover never exceeds it.
+    remainder, the hyperedges the breaker misses (absent for the bipartite
+    strategy). claimed_bound is the certified size guarantee; the cover
+    never exceeds it.
     """
 
     strategy: str
@@ -86,32 +88,30 @@ def cover_is_valid(g: Graph, cover: frozenset[int]) -> bool:
     return True
 
 
-def _residual_pair(h: Hypergraph, kept: dict[int, frozenset[int]], route: str) -> DualPair:
-    """The exact pair of h's hyperedges kept, solved in place; a cycle there is a bug in the breaker."""
+def _route(h: Hypergraph, strategy: str, breaker: frozenset[int], base: Fraction, **audit) -> CoverCertificate:
+    """The breaker plus the exact transversal, solved in place, of the
+    hyperedges it misses; a cycle among those is a bug in the breaker."""
     try:
-        return _solve(kept, h._incident)
+        pair = _solve({eid: e for eid, e in h._edges.items() if breaker.isdisjoint(e)}, h._incident)
     except CyclicInputError:
-        raise InvariantError(f"the {route} route's remainder has a cycle") from None
+        raise InvariantError(f"the {strategy} route's remainder has a cycle") from None
+    claimed = base + len(pair.matching)
+    return CoverCertificate(strategy, breaker | pair.transversal, claimed, breaker, pair, **audit)
 
 
 def _via_fvs(h: Hypergraph) -> CoverCertificate:
     """fvs route on a linear 3-uniform hypergraph: a feedback vertex set,
     then the exact solve of the acyclic remainder."""
     res = _feedback_vertex_set(h)
-    breaker = res.removed_vertices
-    pair = _residual_pair(h, {eid: e for eid, e in h._edges.items() if breaker.isdisjoint(e)}, "fvs")
-    claimed = Fraction(h.num_hyperedges, 3) + len(pair.matching)
-    return CoverCertificate("fvs", breaker | pair.transversal, claimed, breaker, pair, trace=res.trace)
+    return _route(h, "fvs", res.removed_vertices, Fraction(h.num_hyperedges, 3), trace=res.trace)
 
 
 def _via_fes(h: Hypergraph) -> CoverCertificate:
-    """fes route: a minimal feedback edge set, the least vertex of each
-    dropped hyperedge, then the exact solve of the acyclic remainder."""
-    kept, dropped = _split_fes(h)
+    """fes route: the least vertex of each hyperedge a minimal feedback edge
+    set drops. Each holds its pick, so the picks miss only kept hyperedges."""
+    dropped = _fes_hyperedges(h)
     picks = frozenset(min(e) for e in dropped.values())
-    pair = _residual_pair(h, kept, "fes")
-    claimed = Fraction(len(pair.matching) + len(dropped))
-    return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)
+    return _route(h, "fes", picks, Fraction(len(dropped)), fes_hyperedges=dropped)
 
 
 def cover_via_fvs(g: Graph) -> CoverCertificate:
@@ -129,12 +129,12 @@ def cover_via_fes(g: Graph) -> CoverCertificate:
     """Cover from a minimal feedback edge set of the triangle hypergraph.
 
     Each dropped hyperedge is a triangle of g; its least edge id joins the
-    cover so the dropped triangle stays covered. Edges outside all triangles
-    are isolated hypergraph vertices and never enter the cover, so the
-    irreducible reduction is implicit. For an irreducible graph with
-    |E| >= 2|triangles| the dropped set is no larger than the hypergraph's
-    component count, which the matching number dominates; the total is then
-    at most twice the packing number.
+    cover, and the kept triangles these picks miss are solved exactly.
+    Edges outside all triangles are isolated hypergraph vertices and never
+    enter the cover, so the irreducible reduction is implicit. For an
+    irreducible graph with |E| >= 2|triangles| the dropped set is no larger
+    than the hypergraph's component count, which the matching number
+    dominates; the total is then at most twice the packing number.
     """
     return _via_fes(triangle_hypergraph(g))
 

@@ -15,8 +15,8 @@ Two engines:
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
-  count. Its one union-find scan, `_split_fes`, returns the kept and the
-  dropped hyperedges, which the fes route uses as they are.
+  count. Its one union-find scan, `_fes_hyperedges`, returns the dropped
+  hyperedges, and the fes route takes the least vertex of each.
 """
 
 from __future__ import annotations
@@ -269,20 +269,17 @@ def minimal_fes(h: Hypergraph) -> FesResult:
     hyperedge is dropped from it when the rest still meets every cycle,
     equivalently when re-adding the hyperedge to the kept acyclic part closes
     no cycle. An incremental union-find over the kept part implements that
-    test.
+    test. Each dropped hyperedge holds its least vertex, so any hyperedge
+    those vertices miss is kept.
     """
-    return FesResult(frozenset(_split_fes(h)[1]))
+    return FesResult(frozenset(_fes_hyperedges(h)))
 
 
-def _split_fes(h: Hypergraph) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
-    """(kept, dropped) of minimal_fes's scan, each hyperedge id -> members in
-    id order: the fes route's acyclic remainder and its feedback edge set."""
+def _fes_hyperedges(h: Hypergraph) -> dict[int, frozenset[int]]:
+    """The hyperedges minimal_fes's one union-find scan drops, id -> members
+    in id order."""
     forest = _Forest()
-    kept: dict[int, frozenset[int]] = {}
-    dropped: dict[int, frozenset[int]] = {}
-    for eid, e in h._edges.items():
-        (kept if forest.link(e) else dropped)[eid] = e
-    return kept, dropped
+    return {eid: e for eid, e in h._edges.items() if not forest.link(e)}
 
 
 def is_minimal_fes(h: Hypergraph, removed: Collection[int]) -> bool:

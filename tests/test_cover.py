@@ -1,10 +1,13 @@
 import dataclasses
 import functools
+import hashlib
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,47 @@ def assert_certificate_sound(g: Graph, cert) -> None:
     assert cert.size <= cert.claimed_bound
     for t in enumerate_triangles(g):
         assert set(t.edge_ids) & cert.cover
+
+
+def brute_triangle_edges(g: Graph) -> list[frozenset[int]]:
+    """The edge ids of every triangle, from a plain triple scan over
+    has_edge, independent of cover_is_valid and of the triangle enumerator."""
+    return [
+        frozenset((g.edge_id(a, b), g.edge_id(b, c), g.edge_id(a, c)))
+        for a, b, c in combinations(range(g.n), 3)
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+    ]
+
+
+class TestCoverIsValid:
+    """The checker behind every certificate and the CLI's "valid" field must
+    refuse a set that misses a triangle, not only accept covers."""
+
+    @pytest.mark.parametrize("g", [complete_graph(3), complete_graph(4), book_graph(3)], ids=["k3", "k4", "book3"])
+    def test_empty_cover_of_a_graph_with_triangles_is_invalid(self, g):
+        assert brute_triangle_edges(g)
+        assert not cover_is_valid(g, frozenset())
+
+    def test_triangle_free_graph_needs_no_cover(self):
+        assert cover_is_valid(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), frozenset())
+
+    def test_agrees_with_a_triple_scan_on_best_covers_minus_one_edge(self):
+        # Dropping a cover edge that alone covers some triangle must make
+        # the cover invalid; dropping any other edge, which the best cover
+        # rarely holds, leaves it valid.
+        graphs = small_graph_corpus(seed=43, count=60) + [
+            random_gnp(n, p, seed) for n in (6, 9, 12) for p in (0.5, 0.8) for seed in range(3)
+        ]
+        verdicts = Counter()
+        for g in graphs:
+            triangles = brute_triangle_edges(g)
+            cover = best_cover(g).cover
+            assert cover_is_valid(g, cover) and all(t & cover for t in triangles)
+            for e in cover:
+                sole = any(t & cover == {e} for t in triangles)
+                assert cover_is_valid(g, cover - {e}) is not sole
+                verdicts[sole] += 1
+        assert verdicts[True] >= 100 and verdicts[False]
 
 
 class TestCoverViaFvs:
@@ -495,12 +539,22 @@ def composed_via_fvs(h: Hypergraph) -> CoverCertificate:
 
 
 def composed_via_fes(h: Hypergraph) -> CoverCertificate:
-    """The fes route composed the same way, on a rebuilt remainder."""
+    """The fes route composed the same way: the picks are the breaker, and
+    the hyperedges they miss are rebuilt as a hypergraph and solved."""
     dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h).removed_hyperedges)}
     picks = frozenset(min(e) for e in dropped.values())
-    pair = solve_acyclic(delete_hyperedges(h, dropped))
+    pair = solve_acyclic(delete_vertices(h, picks))
     claimed = Fraction(len(pair.matching) + len(dropped))
-    return CoverCertificate("fes", pair.transversal | picks, claimed, picks, pair, fes_hyperedges=dropped)
+    return CoverCertificate("fes", picks | pair.transversal, claimed, picks, pair, fes_hyperedges=dropped)
+
+
+def kept_rule_via_fes(h: Hypergraph) -> tuple[frozenset[int], Fraction]:
+    """(cover, claimed bound) of the fes route's earlier remainder rule, which
+    solved every hyperedge the feedback edge set kept, hit by a pick or not."""
+    removed = minimal_fes(h).removed_hyperedges
+    pair = solve_acyclic(delete_hyperedges(h, removed))
+    picks = frozenset(min(h.hyperedge(f)) for f in removed)
+    return picks | pair.transversal, Fraction(len(removed) + len(pair.matching))
 
 
 def route_corpora() -> dict[str, list[Hypergraph]]:
@@ -537,7 +591,7 @@ class TestRemainderSolvedInPlace:
 
     STUBS = {
         "fvs": ("_feedback_vertex_set", lambda h: FvsResult(frozenset(), ())),
-        "fes": ("_split_fes", lambda h: (dict(h._edges), {})),
+        "fes": ("_fes_hyperedges", lambda h: {}),
     }
 
     @pytest.mark.parametrize("route", STUBS)
@@ -560,7 +614,7 @@ class TestRemainderSolvedInPlace:
         # The same stub in a child process: the CLI exits through the
         # uncaught InvariantError (status 1), not with status 3.
         name = self.STUBS[route][0]
-        stub = "cb.FvsResult(frozenset(), ())" if route == "fvs" else "(dict(h._edges), {})"
+        stub = "cb.FvsResult(frozenset(), ())" if route == "fvs" else "{}"
         k4 = Path(__file__).parent / "golden" / "inputs" / "k4.txt"
         code = (
             "import sys\n"
@@ -574,3 +628,62 @@ class TestRemainderSolvedInPlace:
         assert out.returncode == 1
         assert f"InvariantError: the {route} route's remainder has a cycle" in out.stderr
         assert "error: hypergraph has a cycle" not in out.stderr
+
+
+class TestFesRemainderRule:
+    """The fes route solves only the hyperedges its picks miss. Every dropped
+    hyperedge holds its pick, so these are kept hyperedges, and neither the
+    cover nor the claimed bound can exceed the earlier rule's, which solved
+    every kept hyperedge."""
+
+    GRAPHS = [random_gnp(n, p, seed) for n in (7, 10, 13, 16) for p in (0.3, 0.6, 0.9) for seed in range(4)]
+
+    def test_never_larger_than_the_kept_rule(self):
+        instances = [h for hs in ROUTE_CORPORA.values() for h in hs] + [triangle_hypergraph(g) for g in self.GRAPHS]
+        smaller = 0
+        for k, h in enumerate(instances):
+            cert = tricover.cover._via_fes(h)
+            old_cover, old_claimed = kept_rule_via_fes(h)
+            assert cert.size <= len(old_cover) and cert.size <= cert.claimed_bound <= old_claimed, k
+            smaller += cert.size < len(old_cover)
+        assert smaller >= 50
+
+    def test_graph_covers_stay_sound(self):
+        for g in self.GRAPHS:
+            cert = cover_via_fes(g)
+            assert_certificate_sound(g, cert)
+            assert all(t & cert.cover for t in brute_triangle_edges(g))
+
+
+class TestPinnedAnswers:
+    """Every route's answers on fixed corpora, pinned by one digest: a change
+    that keeps every answer keeps it, and one that changes an answer must
+    regenerate it and say so. Print the current value with
+    PYTHONPATH=src python tests/test_cover.py."""
+
+    # sha256 over repr((strategy, sorted cover, claimed_bound, sorted
+    # breaker)) of every certificate.
+    ROUTE_DIGEST = "82ad5256589233c6bfb32f70e27ee2283e2a196b8de86b6c67283db889bed261"
+
+    @staticmethod
+    def certificates():
+        for hs in ROUTE_CORPORA.values():
+            for h in hs:
+                yield tricover.cover._via_fvs(h)
+                yield tricover.cover._via_fes(h)
+        for g in (random_gnp(n, p, seed) for n in (8, 12, 16, 20) for p in (0.3, 0.6, 0.95) for seed in range(3)):
+            yield from (cover_via_fvs(g), cover_via_fes(g), cover_via_bipartite(g))
+
+    @classmethod
+    def digest(cls) -> str:
+        digest = hashlib.sha256()
+        for cert in cls.certificates():
+            digest.update(repr((cert.strategy, sorted(cert.cover), cert.claimed_bound, sorted(cert.breaker))).encode())
+        return digest.hexdigest()
+
+    def test_route_answers_match_the_pinned_digest(self):
+        assert self.digest() == self.ROUTE_DIGEST
+
+
+if __name__ == "__main__":
+    print(TestPinnedAnswers.digest())

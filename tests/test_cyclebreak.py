@@ -26,7 +26,7 @@ from tricover import (
     triangle_hypergraph,
 )
 import tricover.cyclebreak
-from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, _split_fes, is_minimal_fes
+from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, _fes_hyperedges, is_minimal_fes
 
 import reference_fvs
 from generators import (
@@ -765,19 +765,19 @@ class TestMinimalFes:
         assert is_acyclic(delete_hyperedges(h, res.removed_hyperedges))
 
     def test_split_matches_minimal_fes_on_mixed_arity_input(self):
-        # CLI fes accepts any arity, so the split that the fes route uses
+        # CLI fes accepts any arity, so the scan that the fes route uses
         # must give minimal_fes's answer there too.
         rng = random.Random("fes/mixed-arity")
         drops = 0
         for _ in range(200):
             n = rng.randint(1, 12)
             h = Hypergraph(range(n), [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 15))])
-            kept, dropped = _split_fes(h)
+            dropped = _fes_hyperedges(h)
             removed = minimal_fes(h).removed_hyperedges
             assert removed == frozenset(dropped)
-            assert list(kept) == sorted(kept) and list(dropped) == sorted(dropped)
-            assert kept.keys().isdisjoint(dropped) and {**kept, **dropped} == h._edges
-            assert is_acyclic(Hypergraph(range(n), kept.values()))
+            assert list(dropped) == sorted(dropped)
+            assert all(h._edges[eid] == e for eid, e in dropped.items())
+            assert is_acyclic(Hypergraph(range(n), [e for eid, e in h._edges.items() if eid not in dropped]))
             assert is_minimal_fes(h, removed)
             drops += len(dropped)
         assert drops >= 300
