@@ -36,24 +36,16 @@ from .graph import (
     Triangle,
     bipartite_cut_cover,
     complete_graph,
-    disjoint_union,
     enumerate_triangles,
     extend_packing,
-    gadget_augment,
-    greedy_triangle_packing,
-    irreducible_subgraph,
     random_gnp,
 )
 from .hypergraph import (
     Component,
     Hypergraph,
     components,
-    delete_hyperedges,
-    delete_vertices,
-    is_acyclic,
     is_k_uniform,
     is_linear,
-    on_cycle_elements,
     triangle_hypergraph,
 )
 from .io import parse_graph, parse_hypergraph
@@ -61,11 +53,8 @@ from .oracles import (
     GRAPH_BUDGET,
     HYPERGRAPH_BUDGET,
     OracleBudget,
-    fano_plane,
     max_matching,
     max_triangle_packing,
-    min_feedback_edge_set,
-    min_feedback_vertex_set,
     min_transversal,
     min_triangle_cover,
     steiner_triple_system,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 
@@ -135,15 +134,6 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     return tuple([Triangle((u, v, w), (uv, uw, vw)) for u, v, w, uv, uw, vw in _triangle_scan(g)])
 
 
-def irreducible_subgraph(g: Graph) -> Graph:
-    """g minus every edge lying in no triangle, i.e. whose ends share no neighbor.
-
-    One pass suffices: removing an edge outside all triangles destroys no
-    triangle, so the triangle set is preserved exactly.
-    """
-    return Graph(g.n, ((u, v) for u, v in g.edges if g.neighbors(u) & g.neighbors(v)))
-
-
 def bipartite_cut_cover(g: Graph) -> frozenset[int]:
     """Edge ids outside a large bipartition cut; always a triangle cover.
 
@@ -231,34 +221,10 @@ def _surviving_triangles(g: Graph, triples: Iterable[tuple[int, int, int]]) -> l
     return [Triangle(t, ids) for t in triples if None not in (ids := (get(t[:2]), get(t[::2]), get(t[1:])))]
 
 
-def greedy_triangle_packing(g: Graph) -> PackingWitness:
-    """Maximal (not maximum) edge-disjoint triangle set, taken in canonical
-    triangle order: no remaining triangle of g is edge-disjoint from it."""
-    return extend_packing(g, ())
-
-
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    """The graphs side by side, each one's vertex ids shifted past those before it."""
-    offsets = list(accumulate((g.n for g in graphs), initial=0))
-    return Graph(offsets[-1], [(u + at, v + at) for g, at in zip(graphs, offsets) for u, v in g.edges])
-
-
-GADGETS = {"K4": 4, "K5": 5}
-
-
-def gadget_augment(g: Graph, k: int, gadget: str) -> Graph:
-    """g plus k disjoint copies of the named complete-graph gadget (K4 or K5)."""
-    if k < 0:
-        raise ValueError("gadget count must be nonnegative")
-    if gadget not in GADGETS:
-        raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
-    return disjoint_union(g, *[complete_graph(GADGETS[gadget])] * k)
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:

@@ -11,8 +11,8 @@ is the union of its hyperedges. Consequences used throughout:
 * in a linear hypergraph every cycle has length at least 3, since a 2-cycle
   would force two hyperedges to share two vertices.
 
-Hyperedge ids are stable: deleting vertices or hyperedges yields a new
-hypergraph whose surviving hyperedges keep their original ids, so recursion
+Hyperedge i is the i-th hyperedge given to the constructor. The FVS working
+copy drops hyperedges in place without renumbering the rest, so recursion
 traces and witness sets always refer to the input instance.
 
 The incidence graph (bipartite, vertices on one side and hyperedges on the
@@ -38,30 +38,19 @@ from .graph import Graph, _triangle_scan
 
 
 class Hypergraph:
-    """Hypergraph with integer vertex ids and stable integer hyperedge ids."""
+    """Hypergraph with integer vertex ids and hyperedge ids 0..m-1 in input order."""
 
     __slots__ = ("vertices", "_edges", "_incident")
 
     def __init__(self, vertices: Iterable[int], hyperedges: Iterable[Iterable[int]]):
-        vs = frozenset(vertices)
-        edges = {i: frozenset(e) for i, e in enumerate(hyperedges)}
-        self._init_parts(vs, edges)
-
-    @classmethod
-    def _from_parts(cls, vertices: frozenset[int], edges: Mapping[int, frozenset[int]]) -> "Hypergraph":
-        obj = cls.__new__(cls)
-        obj._init_parts(vertices, dict(edges))
-        return obj
-
-    def _init_parts(self, vertices: frozenset[int], edges: dict[int, frozenset[int]]) -> None:
+        self.vertices = vs = frozenset(vertices)
+        self._edges = {i: frozenset(e) for i, e in enumerate(hyperedges)}
         incident: dict[int, list[int]] = {}
-        self._edges = {eid: edges[eid] for eid in sorted(edges)}
         for eid, e in self._edges.items():
             for v in e:
-                if v not in vertices:
+                if v not in vs:
                     raise ValueError(f"hyperedge {eid} contains unknown vertex {v}")
                 incident.setdefault(v, []).append(eid)
-        self.vertices = vertices
         self._incident = {v: tuple(eids) for v, eids in incident.items()}
 
     @property
@@ -163,26 +152,6 @@ def components(h: Hypergraph) -> tuple[Component, ...]:
     return tuple(Component(frozenset(verts[root]), tuple(eids[root])) for root in verts)
 
 
-def delete_vertices(h: Hypergraph, vertex_ids: Iterable[int]) -> Hypergraph:
-    """Remove the vertices and every hyperedge touching one of them."""
-    drop = frozenset(vertex_ids)
-    unknown = drop - h.vertices
-    if unknown:
-        raise ValueError(f"unknown vertex ids {sorted(unknown)}")
-    keep_edges = {eid: e for eid, e in zip(h.hyperedge_ids, h.hyperedges) if not (e & drop)}
-    return Hypergraph._from_parts(h.vertices - drop, keep_edges)
-
-
-def delete_hyperedges(h: Hypergraph, edge_ids: Iterable[int]) -> Hypergraph:
-    """Remove the hyperedges; every vertex stays."""
-    drop = frozenset(edge_ids)
-    unknown = drop - frozenset(h.hyperedge_ids)
-    if unknown:
-        raise ValueError(f"unknown hyperedge ids {sorted(unknown)}")
-    keep_edges = {eid: e for eid, e in zip(h.hyperedge_ids, h.hyperedges) if eid not in drop}
-    return Hypergraph._from_parts(h.vertices, keep_edges)
-
-
 class _Forest:
     """Union-find over vertices, grown one hyperedge at a time.
 
@@ -222,15 +191,10 @@ class _Forest:
         return True
 
 
-def is_acyclic(h: Hypergraph) -> bool:
-    """True when h has no cycle, i.e. its incidence graph is a forest."""
-    return are_acyclic(h.hyperedges)
-
-
 def are_acyclic(hyperedges: Iterable[frozenset[int]]) -> bool:
     """True when the given hyperedges form no cycle: one union-find pass.
-    FVS's final check, the feedback-set oracles and the CLI pass the
-    hyperedges a feedback set spares, so no residual hypergraph is built."""
+    FVS's final check and the CLI pass the hyperedges a feedback set
+    spares, so no residual hypergraph is built."""
     return all(map(_Forest().link, hyperedges))
 
 
@@ -379,19 +343,6 @@ class _WorkingState:
             queued[r] -= 1
             expanding -= not queued[r]
         return False
-
-
-def on_cycle_elements(h: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
-    """(vertices, hyperedge ids) lying on at least one cycle of h.
-
-    The first off_cycle of a fresh _WorkingState: a linear-time peel, then a
-    BFS per unpeeled hyperedge that no kept cycle runs through; one that
-    fails may walk its whole component.
-    """
-    state = _WorkingState(h)
-    state.off_cycle()
-    edges_on = frozenset(state.live)
-    return frozenset(v for e in edges_on for v in state.edges[e]), edges_on
 
 
 def _shortest_cycle(

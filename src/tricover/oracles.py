@@ -1,20 +1,19 @@
 """Independent exact solvers used as ground truth for every approximate module.
 
-All searches are deterministic branch-and-bound or ordered subset
-enumeration. They are meant for desk-scale instances; a budget caps instance
-size and explored nodes, and blowing either cap raises
-BudgetExceededError rather than ever returning a wrong answer. Graph oracles
-run them on the triangle hypergraph, scanned only once the edge cap holds.
+All searches are deterministic branch-and-bound, meant for desk-scale
+instances; a budget caps instance size and explored nodes, and blowing
+either cap raises BudgetExceededError rather than ever returning a wrong
+answer. Graph oracles run them on the triangle hypergraph, scanned only once
+the edge cap holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import BudgetExceededError, InvariantError
 from .graph import Graph, PackingWitness, Triangle, _first_fit
-from .hypergraph import Hypergraph, are_acyclic, on_cycle_elements, triangle_hypergraph
+from .hypergraph import Hypergraph, triangle_hypergraph
 
 
 @dataclass(frozen=True)
@@ -194,41 +193,6 @@ def min_transversal(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> 
     return len(cover), frozenset(cover)
 
 
-def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tuple[int, frozenset[int]]:
-    """Exact minimum set of on-cycle vertices (or hyperedges) whose deletion
-    leaves h acyclic: the first hit of an ordered subset search by size.
-
-    Each subset is tested by one union-find pass over the hyperedges it
-    spares, with no hypergraph built."""
-    _check_size(h.num_hyperedges, budget, "hypergraph")
-    search = _Search(h, budget)
-    verts_on, edges_on = on_cycle_elements(h)
-    candidates = sorted(verts_on if vertices else edges_on)
-    if not candidates:
-        return 0, frozenset()
-    for k in range(1, len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            search.tick()
-            drop = frozenset(combo)
-            if are_acyclic(e for eid, e in search.items if (drop.isdisjoint(e) if vertices else eid not in drop)):
-                return k, drop
-    raise InvariantError("deleting every on-cycle element left a cycle")
-
-
-def min_feedback_vertex_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
-    """Exact minimum vertex set meeting every cycle, by ordered subset search.
-
-    Only vertices lying on some cycle are candidates: any other vertex can be
-    dropped from a feedback vertex set without reintroducing a cycle.
-    """
-    return _min_feedback_set(h, budget, vertices=True)
-
-
-def min_feedback_edge_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
-    """Exact minimum hyperedge set meeting every cycle, by ordered subset search."""
-    return _min_feedback_set(h, budget, vertices=False)
-
-
 def _quasigroup_triples(q: int, star) -> list[tuple[int, int, int]]:
     """The triples {(i, k), (j, k), (i*j, k+1)} for i < j in Z_q and k in
     Z_3, where i*j is star(i, j) and point (i, k) is i + k*q."""
@@ -292,17 +256,3 @@ def steiner_triple_system(n: int) -> PackingWitness:
     if 3 * len(triangles) != len(covered):
         raise InvariantError("decomposition does not cover every edge exactly once")
     return PackingWitness(tuple(triangles))
-
-
-def fano_plane() -> Hypergraph:
-    """The 7-point, 7-line projective plane as a linear 3-uniform hypergraph."""
-    lines = [
-        {1, 2, 3},
-        {1, 4, 5},
-        {1, 6, 7},
-        {2, 4, 6},
-        {2, 5, 7},
-        {3, 4, 7},
-        {3, 5, 6},
-    ]
-    return Hypergraph(range(1, 8), lines)

@@ -6,8 +6,9 @@ Everything is seeded; corpora are deterministic across runs.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
-from tricover import Graph, Hypergraph, random_gnp, triangle_hypergraph
+from tricover import Graph, Hypergraph, complete_graph, random_gnp, triangle_hypergraph
 
 
 def random_linear_3_uniform(rng: random.Random, num_vertices: int, num_edges: int) -> Hypergraph:
@@ -266,3 +267,37 @@ def book_graph(pages: int) -> Graph:
         edges.append((0, v))
         edges.append((1, v))
     return Graph(2 + pages, edges)
+
+
+def fano_plane() -> Hypergraph:
+    """The 7-point, 7-line projective plane as a linear 3-uniform hypergraph."""
+    lines = [
+        {1, 2, 3},
+        {1, 4, 5},
+        {1, 6, 7},
+        {2, 4, 6},
+        {2, 5, 7},
+        {3, 4, 7},
+        {3, 5, 6},
+    ]
+    return Hypergraph(range(1, 8), lines)
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each one's vertex ids shifted past those before it."""
+    offsets = list(accumulate((g.n for g in graphs), initial=0))
+    return Graph(offsets[-1], [(u + at, v + at) for g, at in zip(graphs, offsets) for u, v in g.edges])
+
+
+def gadget_augment(g: Graph, k: int, gadget: str) -> Graph:
+    """g plus k disjoint copies of the named complete-graph gadget, "K4" or "K5"."""
+    return disjoint_union(g, *[complete_graph({"K4": 4, "K5": 5}[gadget])] * k)
+
+
+def irreducible_subgraph(g: Graph) -> Graph:
+    """g minus every edge lying in no triangle, i.e. whose ends share no neighbor.
+
+    One pass suffices: removing an edge outside all triangles destroys no
+    triangle, so the triangle set is preserved exactly.
+    """
+    return Graph(g.n, ((u, v) for u, v in g.edges if g.neighbors(u) & g.neighbors(v)))

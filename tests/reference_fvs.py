@@ -1,7 +1,8 @@
 """Reference implementations kept for differential tests.
 
 `feedback_vertex_set` is the original engine: it rebuilds the hypergraph
-after every deletion. It peels the 2-core and takes the high-degree
+after every deletion, with `delete_vertices` and `delete_hyperedges`, whose
+results keep the surviving hyperedges' ids (`hypergraph_with_ids`). It peels the 2-core and takes the high-degree
 vertices with degree counts of its own, then recomputes cycle membership
 from scratch on every step, with its own bridge computation
 (`_bridge_edges`, `on_cycle_elements`) and the pairwise linearity scan
@@ -23,12 +24,37 @@ from typing import Iterable, Mapping
 
 from tricover.cyclebreak import FvsResult, TraceStep
 from tricover.errors import InvariantError, NotLinearError, NotThreeUniformError
-from tricover.hypergraph import (
-    Hypergraph,
-    delete_hyperedges,
-    delete_vertices,
-    is_k_uniform,
-)
+from tricover.hypergraph import Hypergraph, is_k_uniform
+
+
+def hypergraph_with_ids(vertices: frozenset[int], edges: Mapping[int, frozenset[int]]) -> Hypergraph:
+    """A hypergraph whose hyperedges keep the given ids, which need not be
+    0..m-1. The constructor numbers hyperedges in input order, so this fills
+    Hypergraph's three slots directly: ascending ids, and each vertex's
+    incident ids ascending."""
+    h = Hypergraph.__new__(Hypergraph)
+    h.vertices = vertices
+    h._edges = dict(sorted(edges.items()))
+    incident: dict[int, list[int]] = {}
+    for eid, e in h._edges.items():
+        for v in e:
+            incident.setdefault(v, []).append(eid)
+    h._incident = {v: tuple(eids) for v, eids in incident.items()}
+    return h
+
+
+def delete_vertices(h: Hypergraph, vertex_ids: Iterable[int]) -> Hypergraph:
+    """Remove the vertices and every hyperedge touching one of them; the
+    surviving hyperedges keep their ids."""
+    drop = frozenset(vertex_ids)
+    return hypergraph_with_ids(h.vertices - drop, {eid: e for eid, e in h._edges.items() if drop.isdisjoint(e)})
+
+
+def delete_hyperedges(h: Hypergraph, edge_ids: Iterable[int]) -> Hypergraph:
+    """Remove the hyperedges; every vertex stays, and the surviving
+    hyperedges keep their ids."""
+    drop = frozenset(edge_ids)
+    return hypergraph_with_ids(h.vertices, {eid: e for eid, e in h._edges.items() if eid not in drop})
 
 
 def is_linear_pairwise(h: Hypergraph) -> bool:

@@ -5,12 +5,22 @@ searches that `tricover.oracles` ran before its bitmask kernels: each node's
 span is a frozenset union and each child filter an `isdisjoint` or `in`
 test. They branch, bound and tick exactly as the bitmask kernels must, so the
 two agree on every returned id and on `search.nodes`.
+
+`min_feedback_vertex_set` and `min_feedback_edge_set` are exact feedback-set
+oracles: an ordered subset search over the on-cycle elements that
+`reference_fvs.on_cycle_elements` finds.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
+from tricover.errors import InvariantError
 from tricover.graph import _first_fit
-from tricover.oracles import _Search
+from tricover.hypergraph import Hypergraph, are_acyclic
+from tricover.oracles import HYPERGRAPH_BUDGET, OracleBudget, _check_size, _Search
+
+from reference_fvs import on_cycle_elements
 
 
 def _max_disjoint(search: _Search) -> list[int]:
@@ -98,3 +108,38 @@ def _min_hitting_set(search: _Search) -> list[int]:
 
     rec(list(range(len(items))))
     return best
+
+
+def _min_feedback_set(h: Hypergraph, budget: OracleBudget, vertices: bool) -> tuple[int, frozenset[int]]:
+    """Exact minimum set of on-cycle vertices (or hyperedges) whose deletion
+    leaves h acyclic: the first hit of an ordered subset search by size.
+
+    Each subset is tested by one union-find pass over the hyperedges it
+    spares, with no hypergraph built."""
+    _check_size(h.num_hyperedges, budget, "hypergraph")
+    search = _Search(h, budget)
+    verts_on, edges_on = on_cycle_elements(h)
+    candidates = sorted(verts_on if vertices else edges_on)
+    if not candidates:
+        return 0, frozenset()
+    for k in range(1, len(candidates) + 1):
+        for combo in combinations(candidates, k):
+            search.tick()
+            drop = frozenset(combo)
+            if are_acyclic(e for eid, e in search.items if (drop.isdisjoint(e) if vertices else eid not in drop)):
+                return k, drop
+    raise InvariantError("deleting every on-cycle element left a cycle")
+
+
+def min_feedback_vertex_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
+    """Exact minimum vertex set meeting every cycle, by ordered subset search.
+
+    Only vertices lying on some cycle are candidates: any other vertex can be
+    dropped from a feedback vertex set without reintroducing a cycle.
+    """
+    return _min_feedback_set(h, budget, vertices=True)
+
+
+def min_feedback_edge_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
+    """Exact minimum hyperedge set meeting every cycle, by ordered subset search."""
+    return _min_feedback_set(h, budget, vertices=False)

@@ -15,6 +15,7 @@ import pytest
 from tricover import (
     GRAPH_BUDGET,
     Graph,
+    Hypergraph,
     OracleBudget,
     best_cover,
     complete_graph,
@@ -22,16 +23,10 @@ from tricover import (
     condition_report,
     cover_is_valid,
     cover_via_bipartite,
-    delete_hyperedges,
-    delete_vertices,
-    disjoint_union,
     enumerate_triangles,
-    fano_plane,
     feedback_vertex_set,
     fes_size_bound,
-    gadget_augment,
     hypergraph_cover,
-    is_acyclic,
     max_matching,
     max_triangle_packing,
     min_transversal,
@@ -44,15 +39,20 @@ from tricover import (
 )
 from tricover.cli import main
 from tricover.experiment import ExperimentSpec, run_experiment
+from tricover.hypergraph import are_acyclic
 
 from generators import (
     book_graph,
     bridged_blocks,
+    disjoint_union,
+    fano_plane,
+    gadget_augment,
     random_acyclic_forest,
     random_graph_hypergraphs,
     random_linear_3_uniform,
     two_regular_fixtures,
 )
+from reference_fvs import delete_hyperedges, delete_vertices
 
 
 def announce(number: int, name: str, detail: str) -> None:
@@ -121,7 +121,7 @@ def test_criterion_1_fvs_bound(linear_corpus):
     for h in linear_corpus:
         res = feedback_vertex_set(h)
         assert len(res.removed_vertices) <= h.num_hyperedges // 3
-        assert is_acyclic(delete_vertices(h, res.removed_vertices))
+        assert are_acyclic(delete_vertices(h, res.removed_vertices).hyperedges)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     announce(1, "fvs-bound", f"{len(linear_corpus)} hypergraphs, {elapsed:.1f}s")
@@ -156,10 +156,10 @@ def test_criterion_4_minimal_fes_bound(acyclic_corpus, linear_corpus):
     for h in acyclic_corpus + linear_corpus:
         res = minimal_fes(h)
         kept = delete_hyperedges(h, res.removed_hyperedges)
-        assert is_acyclic(kept)
+        assert are_acyclic(kept.hyperedges)
         assert len(res.removed_hyperedges) <= fes_size_bound(h)
         for eid in res.removed_hyperedges:
-            assert not is_acyclic(delete_hyperedges(h, res.removed_hyperedges - {eid}))
+            assert not are_acyclic(delete_hyperedges(h, res.removed_hyperedges - {eid}).hyperedges)
         checked += 1
     announce(4, "minimal-fes-bound", f"{checked} instances, bound and minimality exact")
 
@@ -242,7 +242,7 @@ def test_criterion_8_hypergraph_two_approximation():
         h = random_linear_3_uniform(rng, nv, m)
         if h.num_hyperedges == 0:
             continue
-        h = delete_vertices(h, h.vertices - h.non_isolated_vertices())
+        h = Hypergraph(h.non_isolated_vertices(), h.hyperedges)
         cert = hypergraph_cover(h)
         nu, _ = max_matching(h)
         assert all(cert.cover & e for e in h.hyperedges)

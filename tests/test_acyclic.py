@@ -9,12 +9,14 @@ from tricover import (
     EmptyHyperedgeError,
     Hypergraph,
     complete_graph,
-    is_acyclic,
+    components,
     solve_acyclic,
     triangle_hypergraph,
 )
+from tricover.hypergraph import are_acyclic
 
 from generators import mixed_linear_corpus, random_acyclic_forest
+from reference_fvs import delete_vertices
 
 
 def brute_tau(h: Hypergraph) -> int:
@@ -117,8 +119,6 @@ class TestSolveAcyclic:
         assert solve_acyclic(h) == solve_acyclic(h)
 
     def test_per_component_solves_merge_to_global_solve(self):
-        from tricover import components, delete_vertices
-
         rng = random.Random(59)
         for _ in range(25):
             h = random_acyclic_forest(rng, rng.randint(2, 12), isolated=rng.randint(0, 2))
@@ -172,7 +172,7 @@ class TestOnePassCycleCheck:
         if any(not e for e in h.hyperedges):
             with pytest.raises(EmptyHyperedgeError):
                 solve_acyclic(h)
-        elif not is_acyclic(h):
+        elif not are_acyclic(h.hyperedges):
             with pytest.raises(CyclicInputError):
                 solve_acyclic(h)
         else:
@@ -190,7 +190,7 @@ class TestOnePassCycleCheck:
         corpus += [Hypergraph(range(2 * k), [(i, (i + 1) % k, k + i) for i in range(k)]) for k in range(3, 12)]
         cyclic = 0
         for h in corpus:
-            if is_acyclic(h):
+            if are_acyclic(h.hyperedges):
                 assert len(solve_acyclic(h).matching) > 0
             else:
                 cyclic += 1

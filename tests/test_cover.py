@@ -26,18 +26,16 @@ from tricover import (
     NotThreeUniformError,
     best_cover,
     complete_graph,
+    components,
     condition_report,
     cover_is_valid,
     cover_via_bipartite,
     cover_via_fes,
     cover_via_fvs,
-    disjoint_union,
     enumerate_triangles,
-    fano_plane,
+    extend_packing,
     feedback_vertex_set,
-    greedy_triangle_packing,
     hypergraph_cover,
-    irreducible_subgraph,
     max_matching,
     max_triangle_packing,
     min_transversal,
@@ -48,12 +46,14 @@ from tricover import (
 )
 from tricover.cyclebreak import FvsResult, _feedback_vertex_set, minimal_fes
 from tricover.graph import _first_fit
-from tricover.hypergraph import delete_hyperedges, delete_vertices
 from tricover.graph import _triangle_scan
 from tricover.oracles import HYPERGRAPH_BUDGET
 
 from generators import (
     book_graph,
+    disjoint_union,
+    fano_plane,
+    irreducible_subgraph,
     mixed_linear_corpus,
     random_cubic_duals,
     random_linear_3_uniform,
@@ -61,6 +61,7 @@ from generators import (
     small_graph_corpus,
     two_regular_fixtures,
 )
+from reference_fvs import delete_hyperedges, delete_vertices
 
 
 def assert_certificate_sound(g: Graph, cert) -> None:
@@ -183,8 +184,6 @@ class TestCoverViaFes:
         # Irreducible graphs with at least twice as many edges as triangles:
         # the dropped set stays within the hypergraph's component count, which
         # the matching number dominates, giving the factor-2 guarantee.
-        from tricover import components, irreducible_subgraph
-
         candidates = [book_graph(k) for k in (1, 2, 3, 5)] + [
             disjoint_union(book_graph(2), complete_graph(3)),
             disjoint_union(complete_graph(3), complete_graph(3)),
@@ -479,7 +478,7 @@ class TestOnePipeline:
         # condition_report reads both graph counts off the triangle hypergraph.
         g = random_gnp(n, p, seed)
         h = triangle_hypergraph(g)
-        assert len(_first_fit(h.hyperedges)) == len(greedy_triangle_packing(g))
+        assert len(_first_fit(h.hyperedges)) == len(extend_packing(g, ()))
         assert len(h.non_isolated_vertices()) == irreducible_subgraph(g).num_edges
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -495,7 +494,7 @@ class TestOnePipeline:
         reduced = irreducible_subgraph(g)
         report = condition_report(g)
         assert report.cover_sizes == sizes
-        assert report.nu_lower == len(greedy_triangle_packing(g))
+        assert report.nu_lower == len(extend_packing(g, ()))
         assert report.num_irreducible_edges == reduced.num_edges
         if reduced.num_edges:
             # No isolated vertices: hypergraph_cover runs the graph routes'

@@ -14,23 +14,20 @@ from tricover import (
     NotThreeUniformError,
     complete_graph,
     components,
-    delete_hyperedges,
-    delete_vertices,
-    fano_plane,
     feedback_vertex_set,
     fes_size_bound,
-    is_acyclic,
     minimal_fes,
-    on_cycle_elements,
     random_gnp,
     triangle_hypergraph,
 )
 import tricover.cyclebreak
 from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, _fes_hyperedges, is_minimal_fes
+from tricover.hypergraph import are_acyclic
 
 import reference_fvs
 from generators import (
     bridged_blocks,
+    fano_plane,
     mixed_linear_corpus,
     random_acyclic_forest,
     random_bridged_blocks,
@@ -40,14 +37,34 @@ from generators import (
     random_linear_3_uniform,
     two_regular_fixtures,
 )
+from reference_fvs import delete_hyperedges, delete_vertices, hypergraph_with_ids
 
 
 def brute_min_fvs_size(h: Hypergraph) -> int:
     for k in range(len(h.vertices) + 1):
         for combo in combinations(sorted(h.vertices), k):
-            if is_acyclic(delete_vertices(h, combo)):
+            if are_acyclic(delete_vertices(h, combo).hyperedges):
                 return k
     raise AssertionError
+
+
+def run_optimized(code: str) -> list[str]:
+    """The stdout lines of code run under python -O, with the package and
+    the tests' generators importable."""
+    src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    return out.splitlines()
+
+
+def cycle_hyperedges(h: Hypergraph) -> frozenset[int]:
+    """The hyperedges the package's one cycle-membership search puts on a
+    cycle: the live keys of a fresh _WorkingState after one off_cycle."""
+    state = _WorkingState(h)
+    state.off_cycle()
+    return frozenset(state.live)
 
 
 def two_core(h: Hypergraph) -> frozenset[int]:
@@ -81,13 +98,13 @@ class TestFeedbackVertexSet:
         assert residual.num_hyperedges == 2
         shared = set.intersection(*(set(e) for e in residual.hyperedges))
         assert len(shared) == 1
-        assert is_acyclic(residual)
+        assert are_acyclic(residual.hyperedges)
 
     def test_fano_size_at_most_two_and_brute_force_agrees(self):
         f = fano_plane()
         res = feedback_vertex_set(f)
         assert len(res.removed_vertices) <= 2
-        assert is_acyclic(delete_vertices(f, res.removed_vertices))
+        assert are_acyclic(delete_vertices(f, res.removed_vertices).hyperedges)
         assert brute_min_fvs_size(f) == 2
 
     def test_rejects_non_three_uniform(self):
@@ -109,7 +126,7 @@ class TestFeedbackVertexSet:
         for h in fvs_suite():
             res = feedback_vertex_set(h)
             assert len(res.removed_vertices) <= h.num_hyperedges // 3
-            assert is_acyclic(delete_vertices(h, res.removed_vertices))
+            assert are_acyclic(delete_vertices(h, res.removed_vertices).hyperedges)
 
     def test_never_below_brute_force_minimum(self):
         rng = random.Random(321)
@@ -160,7 +177,7 @@ class TestFeedbackVertexSet:
         for h in random_cubic_duals(seed=2718, count=120):
             res = feedback_vertex_set(h)
             assert len(res.removed_vertices) <= h.num_hyperedges // 3
-            assert is_acyclic(delete_vertices(h, res.removed_vertices))
+            assert are_acyclic(delete_vertices(h, res.removed_vertices).hyperedges)
 
 
 class TestAgainstReference:
@@ -201,15 +218,15 @@ class TestAgainstReference:
             edges = [rng.sample(range(n), rng.randint(0, min(4, n))) for _ in range(rng.randint(0, 14))]
             suite.append(Hypergraph(range(n), edges))
         for h in suite:
-            reference = reference_fvs.on_cycle_elements(h)
-            assert on_cycle_elements(h) == reference
-            assert is_acyclic(h) == (not reference[1])
+            _, edges_on = reference_fvs.on_cycle_elements(h)
+            assert cycle_hyperedges(h) == edges_on
+            assert are_acyclic(h.hyperedges) == (not edges_on)
 
     def test_on_cycle_elements_non_uniform(self):
         # Pendant pairs and singletons hang off a cycle of mixed arity.
         h = Hypergraph(range(8), [(0, 1), (1, 2, 3), (0, 3), (3, 4), (5,), (6, 7, 0), ()])
-        assert on_cycle_elements(h) == reference_fvs.on_cycle_elements(h)
-        assert on_cycle_elements(h) == (frozenset({0, 1, 2, 3}), frozenset({0, 1, 2}))
+        assert reference_fvs.on_cycle_elements(h) == (frozenset({0, 1, 2, 3}), frozenset({0, 1, 2}))
+        assert cycle_hyperedges(h) == {0, 1, 2}
 
 
 def pendant_cycles() -> list[Hypergraph]:
@@ -292,12 +309,7 @@ class TestPendantRule:
             "    except InvariantError as ex:\n"
             "        print(sys.flags.optimize, ex)\n"
         )
-        src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-        ).stdout
-        assert out.splitlines() == [
+        assert run_optimized(code) == [
             "1 vertex 2 of on-cycle hyperedge 0 has no single other hyperedge",
             "1 hyperedge 1 survived rule 2 but only 2 has degree 2",
         ]
@@ -373,7 +385,7 @@ class TestCycleCertificates:
         steps = 0
         while state.edges:
             reported.update(state.off_cycle())
-            current = Hypergraph._from_parts(frozenset(state.incident), state.edges)
+            current = hypergraph_with_ids(frozenset(state.incident), state.edges)
             verts_on, edges_on = reference_fvs.on_cycle_elements(current)
             assert state.live.keys() == edges_on
             # The 2-core peel takes off only hyperedges on no cycle.
@@ -494,7 +506,7 @@ class TestCycleCertificates:
         certify, off_cycle = _WorkingState._certify, _WorkingState.off_cycle
 
         def recording_off_cycle(state: _WorkingState) -> list[int]:
-            core = two_core(Hypergraph._from_parts(frozenset(state.incident), state.edges)) if not sweeps else None
+            core = two_core(hypergraph_with_ids(frozenset(state.incident), state.edges)) if not sweeps else None
             sweeps.append((core, []))
             return off_cycle(state)
 
@@ -560,7 +572,8 @@ class TestCycleCertificates:
         code = (
             "import sys\n"
             "import tricover.cyclebreak as cb\n"
-            "from tricover import InvariantError, complete_graph, cover_via_fvs, fano_plane\n"
+            "from generators import fano_plane\n"
+            "from tricover import InvariantError, complete_graph, cover_via_fvs\n"
             "cb._WorkingState._certify = lambda state, eid: False\n"
             "for run in (lambda: cb.feedback_vertex_set(fano_plane()), lambda: cover_via_fvs(complete_graph(6))):\n"
             "    try:\n"
@@ -568,12 +581,7 @@ class TestCycleCertificates:
             "    except InvariantError as ex:\n"
             "        print(sys.flags.optimize, ex)\n"
         )
-        src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-        ).stdout
-        assert out.splitlines() == ["1 the removed vertices leave a cycle"] * 2
+        assert run_optimized(code) == ["1 the removed vertices leave a cycle"] * 2
 
     def test_size_check_raises_under_optimize(self):
         # When a take drops only the least hyperedge of its vertex, a take
@@ -584,7 +592,8 @@ class TestCycleCertificates:
         code = (
             "import sys\n"
             "import tricover.cyclebreak as cb\n"
-            "from tricover import InvariantError, complete_graph, cover_via_fvs, fano_plane\n"
+            "from generators import fano_plane\n"
+            "from tricover import InvariantError, complete_graph, cover_via_fvs\n"
             "cb._WorkingState.drop_vertex = lambda state, v: state.drop_edge(min(state.incident[v]))\n"
             "for run in (lambda: cb.feedback_vertex_set(fano_plane()), lambda: cover_via_fvs(complete_graph(5))):\n"
             "    try:\n"
@@ -592,15 +601,28 @@ class TestCycleCertificates:
             "    except InvariantError as ex:\n"
             "        print(sys.flags.optimize, ex)\n"
         )
-        src = os.path.dirname(os.path.dirname(tricover.cyclebreak.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-        ).stdout
-        assert out.splitlines() == [
+        assert run_optimized(code) == [
             "1 5 removed vertices exceed floor(m/3) = 2",
             "1 7 removed vertices exceed floor(m/3) = 3",
         ]
+
+    def test_detour_on_the_cycle_raises_under_optimize(self):
+        # K4's triangle hypergraph is 2-regular. With _shortest_cycle stubbed
+        # to return its 4-cycle through triangles 0, 1, 3, 2, which is not
+        # shortest, the first third vertex, edge 3, has its detour on the
+        # cycle: edge 3 lies in triangles 0 and 3. -O strips asserts, so the
+        # check must raise explicitly.
+        code = (
+            "import sys\n"
+            "import tricover.cyclebreak as cb\n"
+            "from tricover import InvariantError, complete_graph, triangle_hypergraph\n"
+            "cb._shortest_cycle = lambda edges, incident: ((1, 0, 4, 5), (0, 1, 3, 2))\n"
+            "try:\n"
+            "    cb.feedback_vertex_set(triangle_hypergraph(complete_graph(4)))\n"
+            "except InvariantError as ex:\n"
+            "    print(sys.flags.optimize, ex)\n"
+        )
+        assert run_optimized(code) == ["1 vertex 3 of the 2-regular hypergraph has no single detour off the cycle"]
 
 
 class TestPinnedAnswers:
@@ -691,15 +713,14 @@ class TestArbitraryIds:
             n, m = len(rank), plain.num_hyperedges
             vmap = {v: vrel(v, n) for v in plain.vertices}
             emap = {e: erel(e, m) for e in plain.hyperedge_ids}
-            moved = Hypergraph._from_parts(
+            moved = hypergraph_with_ids(
                 frozenset(vmap.values()),
                 {emap[eid]: frozenset(vmap[v] for v in e) for eid, e in zip(plain.hyperedge_ids, plain.hyperedges)},
             )
             res, expected = feedback_vertex_set(moved), feedback_vertex_set(plain)
             assert res.removed_vertices == {vmap[v] for v in expected.removed_vertices}
             assert res.trace == self.map_trace(expected.trace, vmap, emap)
-            verts_on, edges_on = on_cycle_elements(plain)
-            assert on_cycle_elements(moved) == ({vmap[v] for v in verts_on}, {emap[e] for e in edges_on})
+            assert cycle_hyperedges(moved) == {emap[e] for e in cycle_hyperedges(plain)}
             rules.update(name for name, _ in res.trace)
         # Rules 2 to 5 all ran on the relabelled input.
         assert rules >= {
@@ -720,23 +741,23 @@ class TestMinimalFes:
         h = triangle_hypergraph(complete_graph(4))
         res = minimal_fes(h)
         assert len(res.removed_hyperedges) <= 2 * 4 - 6 + 1
-        assert is_acyclic(delete_hyperedges(h, res.removed_hyperedges))
+        assert are_acyclic(delete_hyperedges(h, res.removed_hyperedges).hyperedges)
 
     def test_fano_minimality(self):
         f = fano_plane()
         res = minimal_fes(f)
         assert len(res.removed_hyperedges) <= fes_size_bound(f)
-        assert is_acyclic(delete_hyperedges(f, res.removed_hyperedges))
+        assert are_acyclic(delete_hyperedges(f, res.removed_hyperedges).hyperedges)
         for eid in res.removed_hyperedges:
-            assert not is_acyclic(delete_hyperedges(f, res.removed_hyperedges - {eid}))
+            assert not are_acyclic(delete_hyperedges(f, res.removed_hyperedges - {eid}).hyperedges)
 
     def test_suite_acyclic_minimal_and_bounded(self):
         for h in fvs_suite():
             res = minimal_fes(h)
             kept = delete_hyperedges(h, res.removed_hyperedges)
-            assert is_acyclic(kept)
+            assert are_acyclic(kept.hyperedges)
             for eid in res.removed_hyperedges:
-                assert not is_acyclic(delete_hyperedges(h, res.removed_hyperedges - {eid}))
+                assert not are_acyclic(delete_hyperedges(h, res.removed_hyperedges - {eid}).hyperedges)
             assert len(res.removed_hyperedges) <= fes_size_bound(h)
 
     def test_is_minimal_fes_matches_reinsertion(self):
@@ -762,7 +783,7 @@ class TestMinimalFes:
     def test_works_on_non_uniform_input(self):
         h = Hypergraph(range(5), [(0, 1), (1, 2), (0, 2), (0, 1, 2, 3)])
         res = minimal_fes(h)
-        assert is_acyclic(delete_hyperedges(h, res.removed_hyperedges))
+        assert are_acyclic(delete_hyperedges(h, res.removed_hyperedges).hyperedges)
 
     def test_split_matches_minimal_fes_on_mixed_arity_input(self):
         # CLI fes accepts any arity, so the scan that the fes route uses
@@ -777,7 +798,7 @@ class TestMinimalFes:
             assert removed == frozenset(dropped)
             assert list(dropped) == sorted(dropped)
             assert all(h._edges[eid] == e for eid, e in dropped.items())
-            assert is_acyclic(Hypergraph(range(n), [e for eid, e in h._edges.items() if eid not in dropped]))
+            assert are_acyclic(e for eid, e in h._edges.items() if eid not in dropped)
             assert is_minimal_fes(h, removed)
             drops += len(dropped)
         assert drops >= 300

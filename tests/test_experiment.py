@@ -55,6 +55,16 @@ class TestSpecValidation:
             ExperimentSpec(n=8, p=0.5, trials=1, seed=0, estimator="steiner-seeded")
         ExperimentSpec(n=9, p=0.5, trials=1, seed=0, estimator="steiner-seeded")
 
+    def test_accepts_and_runs_zero_vertices(self):
+        records = run_experiment(ExperimentSpec(n=0, p=0.5, trials=2, seed=0)).records
+        assert [(r.num_edges, r.packing_lower, r.cover_size) for r in records] == [(0, 0, 0)] * 2
+        assert all(r.packing_over_edges is None and r.cover_le_twice_packing is None for r in records)
+
+    def test_steiner_accepts_and_runs_three_vertices(self):
+        spec = ExperimentSpec(n=3, p=1.0, trials=1, seed=0, estimator="steiner-seeded")
+        (rec,) = run_experiment(spec).records
+        assert (rec.num_edges, rec.steiner_survivors, rec.packing_lower) == (3, 1, 1)
+
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ValueError):
             ExperimentSpec(n=9, p=0.5, trials=1, seed=0, estimator="exact")
@@ -125,9 +135,12 @@ class TestCsv:
 
     def test_blank_cells_for_not_applicable(self, tmp_path):
         spec = ExperimentSpec(n=9, p=0.0, trials=2, seed=2)
+        result = run_experiment(spec)
         path = tmp_path / "records.csv"
-        write_csv(run_experiment(spec), str(path))
+        write_csv(result, str(path))
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
+        assert result.records[0].num_edges == 0
         assert rows[0]["packing_ge_quarter_edges"] == ""
+        assert rows[0]["cover_le_twice_packing"] == "" and result.records[0].cover_le_twice_packing is None
         assert rows[0]["steiner_survivors"] == ""

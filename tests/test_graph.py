@@ -10,17 +10,13 @@ from tricover import (
     Triangle,
     bipartite_cut_cover,
     complete_graph,
-    disjoint_union,
     enumerate_triangles,
     extend_packing,
-    gadget_augment,
-    greedy_triangle_packing,
-    irreducible_subgraph,
     random_gnp,
     steiner_triple_system,
 )
 
-from generators import book_graph
+from generators import book_graph, disjoint_union, gadget_augment, irreducible_subgraph
 from reference_packing import reference_extend_packing, reference_triangle
 
 
@@ -247,20 +243,20 @@ class TestBipartiteCutCover:
 class TestGreedyPacking:
     def test_triangle_free_empty(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert len(greedy_triangle_packing(g)) == 0
+        assert len(extend_packing(g, ())) == 0
 
     def test_k4_single_triangle(self):
-        assert len(greedy_triangle_packing(complete_graph(4))) == 1
+        assert len(extend_packing(complete_graph(4), ())) == 1
 
     def test_k7_between_one_and_seven(self):
-        size = len(greedy_triangle_packing(complete_graph(7)))
+        size = len(extend_packing(complete_graph(7), ()))
         assert 1 <= size <= 7
 
     def test_edge_disjoint_and_maximal(self):
         rng = random.Random(5150)
         for _ in range(40):
             g = random_gnp(rng.randint(4, 11), rng.uniform(0.3, 0.9), rng.randrange(1 << 30))
-            packing = greedy_triangle_packing(g)
+            packing = extend_packing(g, ())
             packing.validate(g)
             used = packing.edge_ids()
             for t in enumerate_triangles(g):
@@ -289,7 +285,6 @@ class TestEdgeDrivenPacking:
         g = random_gnp(n, p, seed)
         greedy = extend_packing(g, ())
         assert greedy == reference_extend_packing(g, ())
-        assert greedy_triangle_packing(g) == greedy
         base = random_disjoint_base(g, random.Random(base_seed), keep)
         assert extend_packing(g, base) == reference_extend_packing(g, base)
 
@@ -413,10 +408,6 @@ class TestGeneratorsAndGadgets:
         assert g.num_edges == 3 + 20
         assert len(enumerate_triangles(g)) == 1 + 20
         assert g == disjoint_union(disjoint_union(complete_graph(3), complete_graph(5)), complete_graph(5))
-
-    def test_gadget_augment_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown gadget"):
-            gadget_augment(complete_graph(3), 1, "K6")
 
     def test_book_graph_shape(self):
         g = book_graph(3)

@@ -298,6 +298,16 @@ class TestHypergraphCommands:
         payload = json.loads(out)
         assert payload["bound"] == 8
         assert payload["bound_holds"] is True
+
+    def test_fes_meeting_its_bound_exactly_holds(self, capsys, tmp_path):
+        # One hyperedge: the bound 2m - |V'| + p is 2 - 3 + 1 = 0, and the
+        # minimal feedback edge set is empty.
+        path = tmp_path / "h.txt"
+        path.write_text("a b c\n")
+        code, out, _ = run_cli(capsys, "fes", str(path))
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["fes_size"], payload["bound"], payload["bound_holds"]) == (0, 0, True)
         assert payload["residual_acyclic"] is True
 
     def test_solve_acyclic(self, capsys, tmp_path):

@@ -1,6 +1,9 @@
 import ast
+import inspect
+import re
 import sys
 from pathlib import Path
+from typing import Iterable, Mapping
 
 import pytest
 
@@ -42,29 +45,18 @@ PUBLIC = (
     "cover_via_bipartite",
     "cover_via_fes",
     "cover_via_fvs",
-    "delete_hyperedges",
-    "delete_vertices",
-    "disjoint_union",
     "enumerate_triangles",
     "extend_packing",
-    "fano_plane",
     "feedback_vertex_set",
     "fes_size_bound",
-    "gadget_augment",
-    "greedy_triangle_packing",
     "hypergraph_cover",
-    "irreducible_subgraph",
-    "is_acyclic",
     "is_k_uniform",
     "is_linear",
     "max_matching",
     "max_triangle_packing",
-    "min_feedback_edge_set",
-    "min_feedback_vertex_set",
     "min_transversal",
     "min_triangle_cover",
     "minimal_fes",
-    "on_cycle_elements",
     "parse_graph",
     "parse_hypergraph",
     "random_gnp",
@@ -76,6 +68,7 @@ PUBLIC = (
 )
 
 PACKAGE = Path(tricover.__file__).parent
+README = PACKAGE.parent.parent / "README.md"
 
 
 class TestPublicSurface:
@@ -90,7 +83,27 @@ class TestPublicSurface:
         assert sorted(namespace) == list(PUBLIC)
         assert "io" not in namespace and "hypergraph" not in namespace
 
-    @pytest.mark.parametrize("name", ["Cycle", "shortest_cycle", "validate_cycle", "format_graph", "format_hypergraph"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "Cycle",
+            "shortest_cycle",
+            "validate_cycle",
+            "format_graph",
+            "format_hypergraph",
+            "delete_vertices",
+            "delete_hyperedges",
+            "is_acyclic",
+            "on_cycle_elements",
+            "min_feedback_vertex_set",
+            "min_feedback_edge_set",
+            "fano_plane",
+            "irreducible_subgraph",
+            "greedy_triangle_packing",
+            "disjoint_union",
+            "gadget_augment",
+        ],
+    )
     def test_removed_names_stay_removed(self, name):
         assert not hasattr(tricover, name)
 
@@ -189,3 +202,46 @@ class TestCliUsesThePublicSurface:
 
     def test_guard_ignores_other_packages(self):
         assert private_package_imports("from os import _exit\nfrom __future__ import annotations\n") == []
+
+
+def names_read(source: str) -> set[str]:
+    """Every bare name and attribute name a source reads."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def unused_public_functions(homes: Mapping[str, str], modules: Mapping[str, str], examples: Iterable[str]) -> list[str]:
+    """Public functions, given as name -> defining module, that no other
+    module in `modules` (module -> source) reads and no example uses."""
+    shown = set().union(*map(names_read, examples))
+    read = {module: names_read(source) for module, source in modules.items()}
+    return sorted(
+        name
+        for name, home in homes.items()
+        if name not in shown and not any(name in names for module, names in read.items() if module != home)
+    )
+
+
+class TestNoTestOnlyPublicFunction:
+    """A public function that no package module calls and the README does
+    not show serves only the tests, which can keep it themselves."""
+
+    def test_every_public_function_has_a_package_or_readme_reader(self):
+        homes = {
+            name: obj.__module__.rpartition(".")[2] + ".py"
+            for name in tricover.__all__
+            if inspect.isfunction(obj := getattr(tricover, name))
+        }
+        modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+        examples = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.DOTALL | re.MULTILINE)
+        assert len(homes) >= 20 and examples
+        assert unused_public_functions(homes, modules, examples) == []
+
+    def test_guard_catches_a_leftover(self):
+        homes = {"used": "a.py", "shown": "a.py", "leftover": "a.py", "self_only": "b.py"}
+        modules = {
+            "a.py": "def used(): ...\ndef shown(): ...\ndef leftover(): ...\n",
+            "b.py": "from .a import used\n\ndef self_only():\n    return used()\n\nself_only()\n",
+        }
+        examples = ["import tricover as tc\ntc.shown()\n"]
+        assert unused_public_functions(homes, modules, examples) == ["leftover", "self_only"]
