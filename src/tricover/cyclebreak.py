@@ -113,7 +113,10 @@ def feedback_vertex_set(h: Hypergraph) -> FvsResult:
     linear NotLinearError.
     """
     _require_linear_3_uniform(h)
-    return _feedback_vertex_set(h)
+    res = _feedback_vertex_set(h)
+    if not are_acyclic(e for e in h.hyperedges if res.removed_vertices.isdisjoint(e)):
+        raise InvariantError("the removed vertices leave a cycle")
+    return res
 
 
 def _require_linear_3_uniform(h: Hypergraph) -> None:
@@ -126,8 +129,9 @@ def _require_linear_3_uniform(h: Hypergraph) -> None:
 
 
 def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
-    """feedback_vertex_set without its precondition checks, for callers that
-    already know h is 3-uniform and linear (triangle hypergraphs always are).
+    """feedback_vertex_set without its precondition checks and its
+    acyclicity check, for callers that already know h is 3-uniform and
+    linear (triangle hypergraphs always are) and check the result themselves.
 
     The rules act on one working copy, deleting in place. The peeled
     hyperedges go first. Rule 3 then pops a lazy max-heap of (-degree,
@@ -142,11 +146,13 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     is left. That adds nothing to removed, and kills no kept cycle, as none
     runs through them, so live and the voided hyperedges stay as they were.
     A vertex on no cycle lies only in off-cycle hyperedges and leaves
-    incident with the last, so no vertex sweep is needed. Rule 4 or 5
+    degree with the last, so no vertex sweep is needed. Rule 4 or 5
     follows and only takes vertices; the other hyperedges its charge counts
-    lie on no cycle after the takes, and the next sweep drops them. One
-    union-find pass over the hyperedges the removed vertices miss checks
-    the result, and a count checks the floor(m/3) bound.
+    lie on no cycle after the takes, and the next sweep drops them. A count
+    checks the floor(m/3) bound. The acyclicity of the result is checked
+    once per caller: feedback_vertex_set runs one union-find pass over the
+    hyperedges the removed vertices miss, and the fvs route's exact solve
+    of those same hyperedges rejects a cycle.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
@@ -158,11 +164,12 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     # Rule 3, highest degree first. A heap entry's degree is never below its
     # vertex's current degree, as degrees only fall, so a popped entry that
     # is still current is the highest degree, least label on ties.
-    heap = [(-len(eids), v) for v, eids in state.incident.items() if len(eids) >= 3]
+    degrees = state.degree
+    heap = [(-d, v) for v, d in degrees.items() if d >= 3]
     heapify(heap)
     while heap:
         neg, high = heappop(heap)
-        degree = len(state.incident.get(high, ()))
+        degree = degrees.get(high, 0)
         if degree != -neg:
             if degree >= 3:
                 heappush(heap, (-degree, high))
@@ -180,7 +187,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         if not state.edges:
             break
 
-        pendant = min((v for v, eids in state.incident.items() if len(eids) == 1), default=None)
+        pendant = min((v for v, d in degrees.items() if d == 1), default=None)
         if pendant is not None:
             # Rule 3 left every degree at most 2, and rule 2 left e1 on a
             # cycle, which enters and leaves e1 at its members a < b other
@@ -190,16 +197,16 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             # e2 and e3 and leaves b of degree 1 like the pendant, so e1 lies
             # on no cycle and the next rule-2 sweep drops it: three
             # hyperedges go per taken vertex.
-            (e1,) = state.incident[pendant]
+            (e1,) = state.alive(pendant)
             b = max(state.edges[e1] - {pendant})
-            e2s = state.incident[b] - {e1}
+            e2s = [f for f in state.alive(b) if f != e1]
             if len(e2s) != 1:
                 raise InvariantError(f"vertex {b} of on-cycle hyperedge {e1} has no single other hyperedge")
             (e2,) = e2s
-            v3 = min((v for v in state.edges[e2] if v != b and len(state.incident[v]) == 2), default=None)
+            v3 = min((v for v in state.edges[e2] if v != b and degrees[v] == 2), default=None)
             if v3 is None:
                 raise InvariantError(f"hyperedge {e2} survived rule 2 but only {b} has degree 2")
-            (e3,) = state.incident[v3] - {e2}
+            (e3,) = (f for f in state.alive(v3) if f != e2)
             removed.add(v3)
             trace.append(("take_vertex_past_pendant_edge", (pendant, e1, e2, e3, v3)))
             state.drop_vertex(v3)
@@ -208,7 +215,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
         # The working copy is a sub-hypergraph of the linear input, hence
         # linear itself.
-        vs, es = map(list, _shortest_cycle(state.edges, state.incident))
+        vs, es = map(list, _shortest_cycle(state.edges, {v: state.alive(v) for v in degrees}))
         k = len(es)
 
         def third(i: int) -> int:
@@ -221,7 +228,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         us = [third(i) for i in range(k)]
 
         def other_edge(u: int, ei: int) -> int:
-            rest = [f for f in state.incident[u] if f != ei]
+            rest = [f for f in state.alive(u) if f != ei]
             if len(rest) != 1 or rest[0] in es:
                 raise InvariantError(f"vertex {u} of the 2-regular hypergraph has no single detour off the cycle")
             return rest[0]
@@ -255,8 +262,6 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
             state.drop_vertex(v)
 
     trace.append(("base", ()))
-    if not are_acyclic(e for e in h.hyperedges if removed.isdisjoint(e)):
-        raise InvariantError("the removed vertices leave a cycle")
     if len(removed) > h.num_hyperedges // 3:
         raise InvariantError(f"{len(removed)} removed vertices exceed floor(m/3) = {h.num_hyperedges // 3}")
     return FvsResult(frozenset(removed), tuple(trace))

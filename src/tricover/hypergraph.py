@@ -19,11 +19,13 @@ The incidence graph (bipartite, vertices on one side and hyperedges on the
 other, adjacency = membership) drives all cycle searches: hypergraph cycles of
 length k correspond exactly to incidence cycles of length 2k. The searches
 read it from two mappings, hyperedge id -> members and non-isolated vertex ->
-incident hyperedge ids. `_WorkingState` holds a copy that the FVS engine
-mutates in place, and has the one cycle-membership search: a peel to the
-2-core, then a BFS for a cycle through each hyperedge the peel leaves. The
-only other search is `_shortest_cycle`, which FVS rule 5 calls on the
-working copy's mappings; rule 4 reads degrees off them and searches nothing.
+incident hyperedge ids. `_WorkingState` copies only the first, and the FVS
+engine deletes from that copy in place. It reads the input's own incidence
+map, skipping dropped ids, and counts each vertex's surviving hyperedges.
+It has the one cycle-membership search: a peel to the 2-core, then a BFS
+for a cycle through each hyperedge the peel leaves. The only other search
+is `_shortest_cycle`, which FVS rule 5 calls on the working copy's
+surviving hyperedges; rule 4 reads the degree counts and searches nothing.
 """
 
 from __future__ import annotations
@@ -193,17 +195,20 @@ class _Forest:
 
 def are_acyclic(hyperedges: Iterable[frozenset[int]]) -> bool:
     """True when the given hyperedges form no cycle: one union-find pass.
-    FVS's final check and the CLI pass the hyperedges a feedback set
-    spares, so no residual hypergraph is built."""
+    feedback_vertex_set's output check and the CLI pass the hyperedges a
+    feedback set spares, so no residual hypergraph is built."""
     return all(map(_Forest().link, hyperedges))
 
 
 class _WorkingState:
-    """A hypergraph mutated in place, with the one cycle-membership search.
+    """A hypergraph deleted from in place, with the one cycle-membership search.
 
-    edges maps each surviving hyperedge id to its members; incident maps each
-    non-isolated vertex to the ids of its surviving hyperedges. A vertex
-    leaves incident with its last hyperedge: deleting it means no more.
+    edges maps each surviving hyperedge id to its members. incident is the
+    input's own incidence map, never copied: each non-isolated vertex to
+    the ascending ids of all its hyperedges, dropped ones included, so
+    every reader skips ids not in edges. degree counts each vertex's
+    surviving hyperedges, and a vertex leaves it with its last one:
+    deleting it means no more. alive lists the surviving ids of a vertex.
 
     peel takes the incidence graph to its 2-core: a hyperedge with at most
     one member left in another unpeeled one is on no cycle. The constructor
@@ -227,42 +232,53 @@ class _WorkingState:
     0.68 s on a cubic dual of m = 4,000.
     """
 
-    __slots__ = ("edges", "incident", "live", "_through", "_voided", "_peeled")
+    __slots__ = ("edges", "incident", "degree", "live", "_through", "_voided", "_peeled")
 
     def __init__(self, h: Hypergraph):
-        self.edges = dict(zip(h.hyperedge_ids, h.hyperedges))
-        self.incident = {v: set(eids) for v, eids in h._incident.items()}
+        self.edges = dict(h._edges)
+        self.incident = incident = h._incident
+        self.degree = dict(zip(incident, map(len, incident.values())))
         self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
-        self._through = {eid: [] for eid in self.edges}  # hyperedge -> the kept cycles through it; a dead one is empty
+        self._through: dict[int, list[list[int]]] = {}  # hyperedge -> the kept cycles through it, once there is one
         self._voided = list(self.edges)  # to search at the next off_cycle
         self.peel()
+
+    def alive(self, v: int) -> list[int]:
+        """The ids of v's surviving hyperedges, ascending."""
+        edges = self.edges
+        return [f for f in self.incident[v] if f in edges]
 
     def peel(self) -> None:
         """Set _peeled to the hyperedges that peeling the incidence graph to
         its 2-core takes off now. None lies on a cycle, and deleting
         hyperedges creates none, so off_cycle reports them with no search.
         The constructor peels once; FVS peels again after rule 3."""
-        # degree: per vertex, its hyperedges not yet popped off the stack;
+        # left: per vertex, its hyperedges not yet popped off the stack;
         # shared: per unpeeled hyperedge, its members of degree 2 or more.
-        degree = {v: len(eids) for v, eids in self.incident.items()}
-        shared = {eid: len(e) for eid, e in self.edges.items()}
-        for (f,) in (eids for eids in self.incident.values() if len(eids) == 1):
-            shared[f] -= 1
+        edges, incident = self.edges, self.incident
+        left = self.degree.copy()
+        shared = {eid: len(e) for eid, e in edges.items()}
+        for v, d in left.items():
+            if d == 1:
+                for f in incident[v]:
+                    if f in edges:
+                        shared[f] -= 1
         peeled = self._peeled = {eid for eid, n in shared.items() if n < 2}
         stack = list(peeled)
         while stack:
-            for v in self.edges[stack.pop()]:
-                degree[v] -= 1
-                if degree[v] == 1:
-                    for f in self.incident[v] - peeled:
-                        shared[f] -= 1
-                        if shared[f] < 2:
-                            peeled.add(f)
-                            stack.append(f)
+            for v in edges[stack.pop()]:
+                left[v] -= 1
+                if left[v] == 1:
+                    for f in incident[v]:
+                        if f in edges and f not in peeled:
+                            shared[f] -= 1
+                            if shared[f] < 2:
+                                peeled.add(f)
+                                stack.append(f)
 
     def drop_edge(self, eid: int) -> None:
         live = self.live
-        for cycle in self._through.pop(eid):
+        for cycle in self._through.pop(eid, ()):
             for g in cycle:
                 if live[g] == 1:
                     del live[g]
@@ -270,15 +286,18 @@ class _WorkingState:
                 else:
                     live[g] -= 1
             cycle.clear()
+        degree = self.degree
         for v in self.edges.pop(eid):
-            eids = self.incident[v]
-            eids.discard(eid)
-            if not eids:
-                del self.incident[v]
+            if degree[v] == 1:
+                del degree[v]
+            else:
+                degree[v] -= 1
 
     def drop_vertex(self, v: int) -> None:
-        for eid in list(self.incident[v]):
-            self.drop_edge(eid)
+        edges = self.edges
+        for eid in self.incident[v]:
+            if eid in edges:
+                self.drop_edge(eid)
 
     def off_cycle(self) -> list[int]:
         """The surviving voided hyperedges that no live cycle certifies and
@@ -303,9 +322,9 @@ class _WorkingState:
         meet it: the search fails when fewer than two regions can still
         expand.
         """
-        edges, incident, live, through = self.edges, self.incident, self.live, self._through
+        edges, incident, degree, live, through = self.edges, self.incident, self.degree, self.live, self._through
         members = edges[eid]
-        if sum(len(incident[v]) > 1 for v in members) < 2:
+        if sum(degree[v] > 1 for v in members) < 2:
             return False
         region = {v: r for r, v in enumerate(members)}
         via = dict.fromkeys(members)  # vertex -> hyperedge it was reached by
@@ -318,7 +337,7 @@ class _WorkingState:
             x = queue.popleft()
             r = region[x]
             for f in incident[x]:
-                if f in entered:
+                if f in entered or f not in edges:
                     continue
                 entered[f] = x
                 for w in edges[f]:
@@ -336,7 +355,7 @@ class _WorkingState:
                                 end = entered[g]
                         for g in cycle:
                             live[g] = live.get(g, 0) + 1
-                            through[g].append(cycle)
+                            through.setdefault(g, []).append(cycle)
                         closed = True
             if closed:
                 return True

@@ -28,10 +28,12 @@ import reference_fvs
 from generators import (
     bridged_blocks,
     fano_plane,
+    hypergraph_from_cubic,
     mixed_linear_corpus,
     random_acyclic_forest,
     random_bridged_blocks,
     random_cubic_duals,
+    random_cubic_edges,
     random_graph_hypergraphs,
     random_hypertree,
     random_linear_3_uniform,
@@ -377,15 +379,25 @@ class TestCycleCertificates:
                 assert len(set(c)) == len(c) == len(reference_fvs.on_cycle_elements(sub)[1])
                 valid.add(tuple(c))
 
+    @staticmethod
+    def check_counts(state: _WorkingState) -> None:
+        """degree counts each vertex's surviving hyperedges, and alive lists
+        their ids, ascending, read off the input's own incidence map."""
+        assert state.degree == Counter(v for e in state.edges.values() for v in e)
+        for v in state.degree:
+            assert state.alive(v) == sorted(eid for eid, e in state.edges.items() if v in e)
+
     @classmethod
     def drive(cls, h: Hypergraph, rng: random.Random) -> int:
         state = _WorkingState(h)
+        assert state.incident is h._incident
         reported: set[int] = set()
         valid: set[tuple[int, ...]] = set()
         steps = 0
         while state.edges:
             reported.update(state.off_cycle())
-            current = hypergraph_with_ids(frozenset(state.incident), state.edges)
+            cls.check_counts(state)
+            current = hypergraph_with_ids(frozenset(state.degree), state.edges)
             verts_on, edges_on = reference_fvs.on_cycle_elements(current)
             assert state.live.keys() == edges_on
             # The 2-core peel takes off only hyperedges on no cycle.
@@ -399,9 +411,10 @@ class TestCycleCertificates:
                 if not state.edges:
                     break
                 if rng.random() < 0.4:
-                    state.drop_vertex(rng.choice(sorted(state.incident)))
+                    state.drop_vertex(rng.choice(sorted(state.degree)))
                 else:
                     state.drop_edge(rng.choice(sorted(state.edges)))
+                cls.check_counts(state)
             cls.check_cycles(state, valid)
             steps += 1
         return steps
@@ -486,7 +499,7 @@ class TestCycleCertificates:
         certify = _WorkingState._certify
 
         def spy(state: _WorkingState, eid: int) -> bool:
-            assert max(map(len, state.incident.values())) <= 2
+            assert max(state.degree.values()) <= 2
             calls.append(eid)
             return certify(state, eid)
 
@@ -506,7 +519,7 @@ class TestCycleCertificates:
         certify, off_cycle = _WorkingState._certify, _WorkingState.off_cycle
 
         def recording_off_cycle(state: _WorkingState) -> list[int]:
-            core = two_core(hypergraph_with_ids(frozenset(state.incident), state.edges)) if not sweeps else None
+            core = two_core(hypergraph_with_ids(frozenset(state.degree), state.edges)) if not sweeps else None
             sweeps.append((core, []))
             return off_cycle(state)
 
@@ -542,6 +555,23 @@ class TestCycleCertificates:
             _feedback_vertex_set(h)
         assert len(calls) == 182
 
+    def test_cubic_dual_search_counts_are_pinned(self, monkeypatch):
+        # A large 2-regular input, where rule 4 fires once per three
+        # hyperedges and FVS time grows fastest with m: the counts of
+        # cycle-membership searches and shortest-cycle searches, so that
+        # work saved there shows up as a count, whatever the host.
+        certified: list[int] = []
+        shortest: list[int] = []
+        certify, shortest_cycle = _WorkingState._certify, tricover.cyclebreak._shortest_cycle
+        monkeypatch.setattr(_WorkingState, "_certify", lambda state, eid: certified.append(eid) or certify(state, eid))
+        monkeypatch.setattr(
+            tricover.cyclebreak,
+            "_shortest_cycle",
+            lambda edges, incident: shortest.append(len(edges)) or shortest_cycle(edges, incident),
+        )
+        _feedback_vertex_set(hypergraph_from_cubic(1000, random_cubic_edges(random.Random(1), 1000)))
+        assert (len(certified), len(shortest)) == (1163, 1)
+
     @pytest.mark.parametrize("n", [16, 20])
     def test_dense_fvs_makes_no_search(self, monkeypatch, n):
         # The high-degree takes leave nothing of G(n, 0.95)'s triangle
@@ -565,10 +595,11 @@ class TestCycleCertificates:
 
     def test_output_check_raises_under_optimize(self):
         # With every search failing, rule 2 strips hyperedges that lie on a
-        # cycle and FVS takes nothing, so only the output check stops the
-        # cyclic residual. -O strips asserts, so this shows the check does
-        # not rest on one; the fvs route must fail there too, before
-        # solve_acyclic reports the residual as bad input.
+        # cycle and FVS takes nothing, so only an output check stops the
+        # cyclic residual. -O strips asserts, so this shows neither check
+        # rests on one. feedback_vertex_set checks its own result; the fvs
+        # route leaves that to its exact solve of the remainder, and must
+        # raise InvariantError there, not report the cycle as bad input.
         code = (
             "import sys\n"
             "import tricover.cyclebreak as cb\n"
@@ -581,7 +612,7 @@ class TestCycleCertificates:
             "    except InvariantError as ex:\n"
             "        print(sys.flags.optimize, ex)\n"
         )
-        assert run_optimized(code) == ["1 the removed vertices leave a cycle"] * 2
+        assert run_optimized(code) == ["1 the removed vertices leave a cycle", "1 the fvs route's remainder has a cycle"]
 
     def test_size_check_raises_under_optimize(self):
         # When a take drops only the least hyperedge of its vertex, a take
@@ -594,7 +625,7 @@ class TestCycleCertificates:
             "import tricover.cyclebreak as cb\n"
             "from generators import fano_plane\n"
             "from tricover import InvariantError, complete_graph, cover_via_fvs\n"
-            "cb._WorkingState.drop_vertex = lambda state, v: state.drop_edge(min(state.incident[v]))\n"
+            "cb._WorkingState.drop_vertex = lambda state, v: state.drop_edge(min(state.alive(v)))\n"
             "for run in (lambda: cb.feedback_vertex_set(fano_plane()), lambda: cover_via_fvs(complete_graph(5))):\n"
             "    try:\n"
             "        run()\n"
