@@ -246,10 +246,9 @@ def condition_report(g: Graph, use_oracle: bool = False) -> ConditionReport:
     # irreducible subgraph's edge count and the greedy packing's size.
     num_e_irr = len(h.non_isolated_vertices())
     nu_lower = len(_first_fit(h.hyperedges))
-    # The packing number is at most any cover's size, so the race's winner
-    # bounds the exact search.
+    nu_exact = len(_max_disjoint(_Search(h, GRAPH_BUDGET))) if use_oracle else None
+
     winner, cover_sizes = _race(h, g)
-    nu_exact = len(_max_disjoint(_Search(h, GRAPH_BUDGET), winner.size)) if use_oracle else None
     cond_i = _packing_condition(3, num_t, nu_lower, nu_exact)
     cond_ii = _packing_condition(4, num_e, nu_lower, nu_exact)
     cond_iii = ("true" if num_e_irr >= 2 * num_t else "false") if num_t else "not-applicable"

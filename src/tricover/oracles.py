@@ -67,7 +67,7 @@ def _capped_triangle_hypergraph(g: Graph, budget: OracleBudget) -> Hypergraph:
     return triangle_hypergraph(g)
 
 
-def _max_disjoint(search: _Search, upper: int | None = None) -> list[int]:
+def _max_disjoint(search: _Search) -> list[int]:
     """Ascending ids of a maximum pairwise-disjoint subfamily of the items.
 
     Each search node carries its candidates, the ascending indices of the
@@ -77,9 +77,6 @@ def _max_disjoint(search: _Search, upper: int | None = None) -> list[int]:
     Items are search.masks, where bit k stands for the k-th smallest element
     of all items: the span is the bit count of the candidates' OR, and the
     include child keeps the candidates sharing no bit with the chosen item.
-    upper, when given, is a known upper bound on the answer, such as the
-    size of any transversal: every node returns once one that large is
-    found, so the answer's size is the same and no more nodes are visited.
     """
     items, masks = search.items, search.masks
     best = [items[i][0] for i in _first_fit(members for _, members in items)]
@@ -91,7 +88,7 @@ def _max_disjoint(search: _Search, upper: int | None = None) -> list[int]:
     def rec(avail: list[int]) -> None:
         nonlocal best
         search.tick()
-        if len(chosen) + len(avail) <= len(best) or len(best) == upper:
+        if len(chosen) + len(avail) <= len(best):
             return
         if not avail:
             best = chosen.copy()

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -373,6 +374,29 @@ class TestConditionReport:
         for g in small_graph_corpus(seed=73, count=15):
             r = condition_report(g, use_oracle=True)
             assert r.nu_lower <= r.nu_exact <= r.nu_upper
+
+    def test_oracle_does_not_trust_the_route_race(self, monkeypatch, tmp_path, capsys):
+        # nu_exact must come from the oracle alone, so that it checks the
+        # routes' cover sizes. A broken fvs route returns a non-cover as
+        # large as the greedy packing but smaller than the packing number.
+        # That must show as nu_exact > nu_upper, in the report and in
+        # `analyze --oracle`; a search stopped at the race's size would
+        # read nu_exact == nu_upper and hide it.
+        def too_small(h):
+            cover = frozenset(range(len(_first_fit(h.hyperedges))))
+            return CoverCertificate("fvs", cover, Fraction(0), cover, None)
+
+        graphs = [g for g in small_graph_corpus(seed=73, count=60) if len(_first_fit(triangle_hypergraph(g).hyperedges)) < max_triangle_packing(g)[0]]
+        assert len(graphs) >= 3
+        monkeypatch.setattr(tricover.cover, "_via_fvs", too_small)
+        for g in graphs:
+            r = condition_report(g, use_oracle=True)
+            assert r.nu_lower == r.nu_upper < r.nu_exact == max_triangle_packing(g)[0]
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in graphs[0].edges))
+        assert tricover.cli.main(["analyze", str(path), "--oracle"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["nu_upper"] < out["nu_exact"]
 
     def test_graph_conditions_are_the_triangle_hypergraph_conditions(self):
         # The paper's reduction: on an irreducible graph, condition i is the

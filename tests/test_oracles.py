@@ -11,7 +11,6 @@ from tricover import (
     OracleBudget,
     PackingWitness,
     Triangle,
-    best_cover,
     complete_graph,
     enumerate_triangles,
     max_matching,
@@ -277,26 +276,6 @@ class TestBitmaskKernels:
         assert list(search.bit) == union
         assert list(search.bit.values()) == [1 << k for k in range(len(union))]
         assert search.masks == [sum(1 << union.index(v) for v in e) for e in h.hyperedges]
-
-
-class TestBoundedPackingSearch:
-    """condition_report stops the packing search at the race's cover size:
-    the packing number is at most the cover number, hence at most the size
-    of any cover."""
-
-    def test_bound_keeps_the_size_and_visits_no_more_nodes(self):
-        pruned = {"race": 0, "exact": 0}  # nodes spared per bound
-        for g in small_graph_corpus(seed=41, count=150, max_edges=40):
-            h = triangle_hypergraph(g)
-            free = oracles._Search(h, oracles.GRAPH_BUDGET)
-            nu = len(oracles._max_disjoint(free))
-            # The race's winner, and the tightest bound there is.
-            for name, upper in (("race", best_cover(g).size), ("exact", nu)):
-                bounded = oracles._Search(h, oracles.GRAPH_BUDGET)
-                assert len(oracles._max_disjoint(bounded, upper)) == nu
-                assert bounded.nodes <= free.nodes
-                pruned[name] += free.nodes - bounded.nodes
-        assert pruned["race"] >= 200 and pruned["exact"] >= 3000
 
 
 ADMISSIBLE = [n for n in range(3, 62) if n % 6 in (1, 3)]
