@@ -16,7 +16,7 @@ from .cover import (
     cover_via_fvs,
     hypergraph_cover,
 )
-from .cyclebreak import FesResult, FvsResult, feedback_vertex_set, fes_size_bound, minimal_fes
+from .cyclebreak import FvsResult, feedback_vertex_set, fes_size_bound, minimal_fes
 from .errors import (
     BudgetExceededError,
     CyclicInputError,

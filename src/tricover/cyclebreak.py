@@ -3,15 +3,10 @@
 Two engines:
 
 * `feedback_vertex_set` removes at most floor(m/3) vertices from an m-edge
-  linear 3-uniform hypergraph and leaves it acyclic. It drops the
-  hyperedges the 2-core peel takes off, then takes vertices of the highest
-  degree while one has degree >= 3 (rule 3), with no search. If rule 3
-  took any, it peels again, so the searches stay inside the 2-core it
-  left. Then, until no hyperedge is left, it drops those on no cycle
-  (rule 2) and takes vertices by rule 4 or 5. The rules mutate one
-  `hypergraph._WorkingState`, whose peels and cycle searches decide rule
-  2. A peel only spares searches that would fail, so rule 2 stays exact.
-  Rule 4 reads only degrees, and rule 5 searches for a shortest cycle.
+  linear 3-uniform hypergraph and leaves it acyclic; its docstring states
+  the rules and their phases. The working copy the rules delete from,
+  `_WorkingState`, and rule 5's search, `_shortest_cycle`, live here too:
+  this module is their only caller.
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
@@ -21,21 +16,13 @@ Two engines:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Collection
+from typing import Collection, Mapping
 
 from .errors import InvariantError, NotLinearError, NotThreeUniformError
-from .hypergraph import (
-    Hypergraph,
-    _Forest,
-    _shortest_cycle,
-    _WorkingState,
-    are_acyclic,
-    components,
-    is_k_uniform,
-    is_linear,
-)
+from .hypergraph import Hypergraph, _Forest, are_acyclic, components, is_k_uniform, is_linear
 
 TraceStep = tuple[str, tuple[int, ...]]
 
@@ -50,14 +37,6 @@ class FvsResult:
 
     removed_vertices: frozenset[int]
     trace: tuple[TraceStep, ...]
-
-
-@dataclass(frozen=True)
-class FesResult:
-    """Minimal feedback edge set: deleting it leaves the hypergraph acyclic,
-    and re-adding any single removed hyperedge recreates a cycle."""
-
-    removed_hyperedges: frozenset[int]
 
 
 def feedback_vertex_set(h: Hypergraph) -> FvsResult:
@@ -131,28 +110,16 @@ def _require_linear_3_uniform(h: Hypergraph) -> None:
 def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     """feedback_vertex_set without its precondition checks and its
     acyclicity check, for callers that already know h is 3-uniform and
-    linear (triangle hypergraphs always are) and check the result themselves.
+    linear (triangle hypergraphs always are) and check the result
+    themselves: feedback_vertex_set by one union-find pass over the
+    hyperedges the removed vertices miss, the fvs route by its exact solve
+    of those same hyperedges, which rejects a cycle. Only the floor(m/3)
+    bound is checked here.
 
-    The rules act on one working copy, deleting in place. The peeled
-    hyperedges go first. Rule 3 then pops a lazy max-heap of (-degree,
-    vertex): a stale entry is pushed again while its degree is still at
-    least 3, and dropped otherwise. When rule 3 took a vertex, the copy
-    peels again: rule 3 leaves many hyperedges on no cycle, which the first
-    sweep would otherwise search, each failed search walking its whole
-    component. Nothing has been searched yet, so every survivor is still
-    voided, and the first sweep reports the newly peeled ones with no
-    search. Each later loop sweeps rule 2 over all
-    off-cycle hyperedges in ascending id order, and stops when no hyperedge
-    is left. That adds nothing to removed, and kills no kept cycle, as none
-    runs through them, so live and the voided hyperedges stay as they were.
-    A vertex on no cycle lies only in off-cycle hyperedges and leaves
-    degree with the last, so no vertex sweep is needed. Rule 4 or 5
-    follows and only takes vertices; the other hyperedges its charge counts
-    lie on no cycle after the takes, and the next sweep drops them. A count
-    checks the floor(m/3) bound. The acyclicity of the result is checked
-    once per caller: feedback_vertex_set runs one union-find pass over the
-    hyperedges the removed vertices miss, and the fvs route's exact solve
-    of those same hyperedges rejects a cycle.
+    Rule 3 pops a lazy max-heap of (-degree, vertex). Degrees only fall, so
+    an entry's degree is never below its vertex's current one, and a popped
+    entry that is still current is the highest degree, least label on
+    ties; a stale entry is pushed again while its degree is at least 3.
     """
     state = _WorkingState(h)
     removed: set[int] = set()
@@ -161,9 +128,6 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         trace.append(("drop_off_cycle_hyperedge", (eid,)))
         state.drop_edge(eid)
 
-    # Rule 3, highest degree first. A heap entry's degree is never below its
-    # vertex's current degree, as degrees only fall, so a popped entry that
-    # is still current is the highest degree, least label on ties.
     degrees = state.degree
     heap = [(-d, v) for v, d in degrees.items() if d >= 3]
     heapify(heap)
@@ -267,8 +231,235 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
     return FvsResult(frozenset(removed), tuple(trace))
 
 
-def minimal_fes(h: Hypergraph) -> FesResult:
-    """Minimal feedback edge set, from the greedy scan in hyperedge id order.
+class _WorkingState:
+    """The FVS working copy: a hypergraph deleted from in place, with the one
+    cycle-membership search.
+
+    edges maps each surviving hyperedge id to its members. incident is the
+    input's own incidence map, never copied: each non-isolated vertex to
+    the ascending ids of all its hyperedges, dropped ones included, so
+    every reader skips ids not in edges. degree counts each vertex's
+    surviving hyperedges, and a vertex leaves it with its last one:
+    deleting it means no more. alive lists the surviving ids of a vertex.
+
+    off_cycle reports the voided hyperedges the last peel took off with no
+    search, and searches the rest, so a peel only spares searches that
+    would fail. A cycle a search closes is kept whole, as its hyperedge
+    ids: live counts, per hyperedge, the kept cycles through it that
+    survive, so its keys are the hyperedges known to be on a cycle.
+    Deleting hyperedges creates no cycle, so dropping one kills only the
+    cycles through it, and only a hyperedge left with no live cycle is
+    voided, to be searched again.
+
+    The kept cycles stand in for fully dynamic 2-edge-connectivity (Holm,
+    de Lichtenberg and Thorup, J. ACM 2001), which is too much code. Both
+    cheaper answers were measured and fail. A peel is not rule 2: a
+    hyperedge of the 2-core can lie on no cycle, and deciding rule 2 by a
+    fresh peel changes the fvs route's cover on 6 of 2,761 generated
+    instances. A bridge pass from scratch on every sweep is exact but
+    quadratic where rule 4 fires once per three hyperedges: 11.9 s against
+    0.68 s on a cubic dual of m = 4,000.
+    """
+
+    __slots__ = ("edges", "incident", "degree", "live", "_through", "_voided", "_peeled")
+
+    def __init__(self, h: Hypergraph):
+        self.edges = dict(h._edges)
+        self.incident = incident = h._incident
+        self.degree = dict(zip(incident, map(len, incident.values())))
+        self.live: dict[int, int] = {}  # hyperedge -> live kept cycles through it, when there are any
+        self._through: dict[int, list[list[int]]] = {}  # hyperedge -> the kept cycles through it, once there is one
+        self._voided = list(self.edges)  # to search at the next off_cycle
+        self.peel()
+
+    def alive(self, v: int) -> list[int]:
+        """The ids of v's surviving hyperedges, ascending."""
+        edges = self.edges
+        return [f for f in self.incident[v] if f in edges]
+
+    def peel(self) -> None:
+        """Set _peeled to the hyperedges that peeling the incidence graph to
+        its 2-core takes off now: a hyperedge with at most one member left
+        in another unpeeled one is on no cycle. Deleting hyperedges creates
+        no cycle, so off_cycle reports them with no search."""
+        # left: per vertex, its hyperedges not yet popped off the stack;
+        # shared: per unpeeled hyperedge, its members of degree 2 or more.
+        edges, incident = self.edges, self.incident
+        left = self.degree.copy()
+        shared = {eid: len(e) for eid, e in edges.items()}
+        for v, d in left.items():
+            if d == 1:
+                for f in incident[v]:
+                    if f in edges:
+                        shared[f] -= 1
+        peeled = self._peeled = {eid for eid, n in shared.items() if n < 2}
+        stack = list(peeled)
+        while stack:
+            for v in edges[stack.pop()]:
+                left[v] -= 1
+                if left[v] == 1:
+                    for f in incident[v]:
+                        if f in edges and f not in peeled:
+                            shared[f] -= 1
+                            if shared[f] < 2:
+                                peeled.add(f)
+                                stack.append(f)
+
+    def drop_edge(self, eid: int) -> None:
+        live = self.live
+        for cycle in self._through.pop(eid, ()):
+            for g in cycle:
+                if live[g] == 1:
+                    del live[g]
+                    self._voided.append(g)
+                else:
+                    live[g] -= 1
+            cycle.clear()
+        degree = self.degree
+        for v in self.edges.pop(eid):
+            if degree[v] == 1:
+                del degree[v]
+            else:
+                degree[v] -= 1
+
+    def drop_vertex(self, v: int) -> None:
+        edges = self.edges
+        for eid in self.incident[v]:
+            if eid in edges:
+                self.drop_edge(eid)
+
+    def off_cycle(self) -> list[int]:
+        """The surviving voided hyperedges that no live cycle certifies and
+        that were peeled or a new search finds on no cycle, each reported
+        once."""
+        voided, self._voided = self._voided, []
+        edges, live, peeled = self.edges, self.live, self._peeled
+        return [g for g in voided if g in edges and g not in live and (g in peeled or not self._certify(g))]
+
+    def _certify(self, eid: int) -> bool:
+        """Find and keep cycles through eid, or return False when there is none.
+
+        A cycle through eid leaves it at two members that lie in another
+        hyperedge, so with fewer than two such members the search fails at
+        once, as the peel would. Otherwise one BFS grows a region from each
+        member of eid, with eid banned. A hyperedge f entered from vertex x
+        of one region that holds a vertex w of another closes a cycle with
+        eid: the region paths to x and w lie in different BFS trees, and f
+        was entered only now. The search finishes the expansion of the first
+        such x and keeps every cycle closed there. A region with nothing left
+        to expand has entered all hyperedges at its vertices, so no other can
+        meet it: the search fails when fewer than two regions can still
+        expand.
+        """
+        edges, incident, degree, live, through = self.edges, self.incident, self.degree, self.live, self._through
+        members = edges[eid]
+        if sum(degree[v] > 1 for v in members) < 2:
+            return False
+        region = {v: r for r, v in enumerate(members)}
+        via = dict.fromkeys(members)  # vertex -> hyperedge it was reached by
+        entered = {eid: None}  # hyperedge -> vertex it was entered from
+        queued = [1] * len(members)  # queued vertices per region
+        expanding = len(members)  # regions with a queued vertex
+        queue = deque(members)
+        closed = False
+        while expanding > 1:
+            x = queue.popleft()
+            r = region[x]
+            for f in incident[x]:
+                if f in entered or f not in edges:
+                    continue
+                entered[f] = x
+                for w in edges[f]:
+                    s = region.get(w)
+                    if s is None:
+                        region[w] = r
+                        via[w] = f
+                        queue.append(w)
+                        queued[r] += 1
+                    elif s != r:
+                        cycle = [eid, f]
+                        for end in (x, w):
+                            while (g := via[end]) is not None:
+                                cycle.append(g)
+                                end = entered[g]
+                        for g in cycle:
+                            live[g] = live.get(g, 0) + 1
+                            through.setdefault(g, []).append(cycle)
+                        closed = True
+            if closed:
+                return True
+            queued[r] -= 1
+            expanding -= not queued[r]
+        return False
+
+
+def _shortest_cycle(
+    edges: Mapping[int, Collection[int]], incident: Mapping[int, Collection[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A minimum-length cycle as (spine v1 ... vk, hyperedge ids e1 ... ek),
+    read from hyperedge id -> members and non-isolated vertex -> incident
+    hyperedge ids of a hypergraph already known to be linear (so every
+    cycle has length >= 3) and to have a cycle.
+
+    The tie-break is exact: among all minimum-length cycles, the least
+    (sorted hyperedge ids, spine, hyperedge ids) wins, and the answer is in
+    canonical form, the least (spine, hyperedge ids) over all rotations of
+    both orientations, so the spine starts at its smallest vertex id. The
+    girth is found by iterative deepening: every cycle of length 3, 4, ...
+    is enumerated in both orientations from its least spine vertex, and the
+    first length that has one is the girth. The least key found, which is
+    unique and already canonical, is the answer, so neither the enumeration
+    order nor the order of the mappings matters. InvariantError is raised
+    when no length up to the hyperedge count has a cycle.
+    """
+    best: tuple | None = None  # (sorted hyperedge ids, spine, hyperedge ids)
+    spine: list[int] = []
+    on_spine: set[int] = set()
+    used_edges: list[int] = []
+    used_edge_set: set[int] = set()
+
+    def extend(start: int, cur: int, length: int) -> None:
+        nonlocal best
+        depth = len(used_edges)
+        for eid in incident[cur]:
+            if eid in used_edge_set:
+                continue
+            e = edges[eid]
+            if depth == length - 1:
+                if start in e:
+                    ids = (*used_edges, eid)
+                    key = (sorted(ids), tuple(spine), ids)
+                    if best is None or key < best:
+                        best = key
+                continue
+            for w in e:
+                if w < start or w in on_spine:
+                    continue
+                spine.append(w)
+                on_spine.add(w)
+                used_edges.append(eid)
+                used_edge_set.add(eid)
+                extend(start, w, length)
+                used_edge_set.discard(eid)
+                used_edges.pop()
+                on_spine.discard(w)
+                spine.pop()
+
+    # A cycle has at most one hyperedge per spine step, so it is no longer
+    # than the hyperedge count.
+    for length in range(3, len(edges) + 1):
+        for start in incident:
+            spine, on_spine = [start], {start}
+            extend(start, start, length)
+        if best is not None:
+            return best[1], best[2]
+    raise InvariantError("no cycle found in a hypergraph that has one")
+
+
+def minimal_fes(h: Hypergraph) -> frozenset[int]:
+    """Ids of a minimal feedback edge set, from the greedy scan in hyperedge
+    id order: deleting them leaves h acyclic, and re-adding any one of them
+    recreates a cycle.
 
     Starting from the trivial feedback edge set (all hyperedges), each
     hyperedge is dropped from it when the rest still meets every cycle,
@@ -277,7 +468,7 @@ def minimal_fes(h: Hypergraph) -> FesResult:
     test. Each dropped hyperedge holds its least vertex, so any hyperedge
     those vertices miss is kept.
     """
-    return FesResult(frozenset(_fes_hyperedges(h)))
+    return frozenset(_fes_hyperedges(h))
 
 
 def _fes_hyperedges(h: Hypergraph) -> dict[int, frozenset[int]]:

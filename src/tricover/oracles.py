@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import BudgetExceededError, EmptyHyperedgeError, InvariantError
 from .graph import Graph, PackingWitness, Triangle, _first_fit
 from .hypergraph import Hypergraph, triangle_hypergraph
 
@@ -124,7 +124,7 @@ def _min_hitting_set(search: _Search) -> list[int]:
     items, masks, bit = search.items, search.masks, search.bit
     for iid, members in items:
         if not members:
-            raise ValueError(f"item {iid} is empty; no hitting set exists")
+            raise EmptyHyperedgeError(f"hyperedge {iid} is empty")
 
     # Greedy incumbent: repeatedly take the element hitting the most unhit items.
     unhit = list(range(len(items)))
@@ -187,7 +187,9 @@ def max_matching(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tup
 
 
 def min_transversal(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
-    """Exact minimum vertex set meeting every hyperedge, with witness."""
+    """Exact minimum vertex set meeting every hyperedge, with witness.
+    Raises EmptyHyperedgeError when some hyperedge is empty, as
+    solve_acyclic does."""
     _check_size(h.num_hyperedges, budget, "hypergraph")
     cover = _min_hitting_set(_Search(h, budget))
     return len(cover), frozenset(cover)

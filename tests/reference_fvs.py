@@ -13,7 +13,7 @@ incidences off the rebuilt hypergraph. Rule 5's
 (`_incidence_adj`). None of them call the package's search code, so the
 package's engine and searches must return exactly the same results as an
 independent implementation. A cycle here is a plain (spine, hyperedge ids)
-pair of tuples, the form `tricover.hypergraph._shortest_cycle` returns, and
+pair of tuples, the form `tricover.cyclebreak._shortest_cycle` returns, and
 `validate_cycle` checks one against the cycle definition.
 """
 

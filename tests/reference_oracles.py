@@ -9,13 +9,16 @@ two agree on every returned id and on `search.nodes`.
 `min_feedback_vertex_set` and `min_feedback_edge_set` are exact feedback-set
 oracles: an ordered subset search over the on-cycle elements that
 `reference_fvs.on_cycle_elements` finds.
+
+`subset_nu` and `subset_tau` are the plain subset enumerations of the
+matching and transversal numbers, with no search, bound or bitmask.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from tricover.errors import InvariantError
+from tricover.errors import EmptyHyperedgeError, InvariantError
 from tricover.graph import _first_fit
 from tricover.hypergraph import Hypergraph, are_acyclic
 from tricover.oracles import HYPERGRAPH_BUDGET, OracleBudget, _check_size, _Search
@@ -74,7 +77,7 @@ def _min_hitting_set(search: _Search) -> list[int]:
     items = search.items
     for iid, members in items:
         if not members:
-            raise ValueError(f"item {iid} is empty; no hitting set exists")
+            raise EmptyHyperedgeError(f"hyperedge {iid} is empty")
 
     # Greedy incumbent: repeatedly take the element hitting the most unhit items.
     unhit = list(range(len(items)))
@@ -143,3 +146,29 @@ def min_feedback_vertex_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUD
 def min_feedback_edge_set(h: Hypergraph, budget: OracleBudget = HYPERGRAPH_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum hyperedge set meeting every cycle, by ordered subset search."""
     return _min_feedback_set(h, budget, vertices=False)
+
+
+def subset_nu(h: Hypergraph) -> int:
+    """Maximum matching size by subset enumeration over hyperedge families."""
+    best = 0
+    ids = h.hyperedge_ids
+    for k in range(len(ids), 0, -1):
+        if k <= best:
+            break
+        for combo in combinations(ids, k):
+            sets = [h.hyperedge(e) for e in combo]
+            if all(sets[i].isdisjoint(sets[j]) for i in range(k) for j in range(i + 1, k)):
+                best = k
+                break
+    return best
+
+
+def subset_tau(h: Hypergraph) -> int:
+    """Minimum transversal size by subset enumeration over non-isolated vertices."""
+    pool = sorted(h.non_isolated_vertices())
+    for k in range(len(pool) + 1):
+        for combo in combinations(pool, k):
+            s = set(combo)
+            if all(s & e for e in h.hyperedges):
+                return k
+    raise AssertionError

@@ -154,12 +154,12 @@ def test_criterion_3_connected_acyclic_vertex_count(acyclic_corpus):
 def test_criterion_4_minimal_fes_bound(acyclic_corpus, linear_corpus):
     checked = 0
     for h in acyclic_corpus + linear_corpus:
-        res = minimal_fes(h)
-        kept = delete_hyperedges(h, res.removed_hyperedges)
+        fes = minimal_fes(h)
+        kept = delete_hyperedges(h, fes)
         assert are_acyclic(kept.hyperedges)
-        assert len(res.removed_hyperedges) <= fes_size_bound(h)
-        for eid in res.removed_hyperedges:
-            assert not are_acyclic(delete_hyperedges(h, res.removed_hyperedges - {eid}).hyperedges)
+        assert len(fes) <= fes_size_bound(h)
+        for eid in fes:
+            assert not are_acyclic(delete_hyperedges(h, fes - {eid}).hyperedges)
         checked += 1
     announce(4, "minimal-fes-bound", f"{checked} instances, bound and minimality exact")
 

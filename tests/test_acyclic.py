@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,34 +16,7 @@ from tricover.hypergraph import are_acyclic
 
 from generators import mixed_linear_corpus, random_acyclic_forest
 from reference_fvs import delete_vertices
-
-
-def brute_tau(h: Hypergraph) -> int:
-    """Minimum transversal size by subset enumeration over non-isolated vertices."""
-    if h.num_hyperedges == 0:
-        return 0
-    pool = sorted(h.non_isolated_vertices())
-    for k in range(len(pool) + 1):
-        for combo in combinations(pool, k):
-            s = set(combo)
-            if all(s & e for e in h.hyperedges):
-                return k
-    raise AssertionError
-
-
-def brute_nu(h: Hypergraph) -> int:
-    """Maximum matching size by subset enumeration over hyperedge families."""
-    ids = h.hyperedge_ids
-    best = 0
-    for k in range(len(ids), 0, -1):
-        if k <= best:
-            break
-        for combo in combinations(ids, k):
-            sets = [h.hyperedge(e) for e in combo]
-            if all(sets[i].isdisjoint(sets[j]) for i in range(k) for j in range(i + 1, k)):
-                best = max(best, k)
-                break
-    return best
+from reference_oracles import subset_nu, subset_tau
 
 
 class TestSolveAcyclic:
@@ -102,8 +74,8 @@ class TestSolveAcyclic:
             if h.num_hyperedges > 7:
                 continue
             pair = solve_acyclic(h)
-            tau = brute_tau(h)
-            nu = brute_nu(h)
+            tau = subset_tau(h)
+            nu = subset_nu(h)
             assert tau == nu == len(pair.transversal) == len(pair.matching)
             checked += 1
 
@@ -111,7 +83,7 @@ class TestSolveAcyclic:
         # General acyclic hypergraphs, not only 3-uniform ones.
         h = Hypergraph(range(7), [(0, 1), (1, 2, 3, 4), (4, 5), (6, 0)])
         pair = solve_acyclic(h)
-        assert len(pair.transversal) == len(pair.matching) == brute_tau(h)
+        assert len(pair.transversal) == len(pair.matching) == subset_tau(h)
 
     def test_deterministic(self):
         rng = random.Random(58)

@@ -564,7 +564,7 @@ def composed_via_fvs(h: Hypergraph) -> CoverCertificate:
 def composed_via_fes(h: Hypergraph) -> CoverCertificate:
     """The fes route composed the same way: the picks are the breaker, and
     the hyperedges they miss are rebuilt as a hypergraph and solved."""
-    dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h).removed_hyperedges)}
+    dropped = {f: h.hyperedge(f) for f in sorted(minimal_fes(h))}
     picks = frozenset(min(e) for e in dropped.values())
     pair = solve_acyclic(delete_vertices(h, picks))
     claimed = Fraction(len(pair.matching) + len(dropped))
@@ -574,7 +574,7 @@ def composed_via_fes(h: Hypergraph) -> CoverCertificate:
 def kept_rule_via_fes(h: Hypergraph) -> tuple[frozenset[int], Fraction]:
     """(cover, claimed bound) of the fes route's earlier remainder rule, which
     solved every hyperedge the feedback edge set kept, hit by a pick or not."""
-    removed = minimal_fes(h).removed_hyperedges
+    removed = minimal_fes(h)
     pair = solve_acyclic(delete_hyperedges(h, removed))
     picks = frozenset(min(h.hyperedge(f)) for f in removed)
     return picks | pair.transversal, Fraction(len(removed) + len(pair.matching))

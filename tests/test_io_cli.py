@@ -222,6 +222,22 @@ class TestHypergraphCommands:
         assert payload["bound_holds"] is True
         assert payload["residual_acyclic"] is True
 
+    def test_fvs_checks_its_residual_once(self, capsys, fano_file, monkeypatch):
+        # feedback_vertex_set's own check is the one residual_acyclic reports.
+        passes = []
+        check = tricover.hypergraph.are_acyclic
+
+        def counted(hyperedges):
+            passes.append(list(hyperedges))
+            return check(passes[-1])
+
+        for module in (tricover.hypergraph, tricover.cyclebreak, tricover.cli):
+            if getattr(module, "are_acyclic", None) is check:
+                monkeypatch.setattr(module, "are_acyclic", counted)
+        code, out, _ = run_cli(capsys, "fvs", fano_file)
+        assert (code, json.loads(out)["residual_acyclic"]) == (0, True)
+        assert len(passes) == 1
+
     def test_byte_order_mark_is_not_part_of_a_label(self, capsys, tmp_path):
         # The 3-cycle a..c..e..a: read with the mark, the first "a" would be
         # another vertex and the cycle would be gone.

@@ -6,6 +6,7 @@ import pytest
 import tricover.oracles as oracles
 from tricover import (
     BudgetExceededError,
+    EmptyHyperedgeError,
     Hypergraph,
     InvariantError,
     OracleBudget,
@@ -35,31 +36,7 @@ from generators import (
 )
 import reference_oracles
 from reference_fvs import delete_hyperedges, delete_vertices
-from reference_oracles import min_feedback_edge_set, min_feedback_vertex_set
-
-
-def subset_nu(h: Hypergraph) -> int:
-    best = 0
-    ids = h.hyperedge_ids
-    for k in range(len(ids), 0, -1):
-        if k <= best:
-            break
-        for combo in combinations(ids, k):
-            sets = [h.hyperedge(e) for e in combo]
-            if all(sets[i].isdisjoint(sets[j]) for i in range(k) for j in range(i + 1, k)):
-                best = k
-                break
-    return best
-
-
-def subset_tau(h: Hypergraph) -> int:
-    pool = sorted(h.non_isolated_vertices())
-    for k in range(len(pool) + 1):
-        for combo in combinations(pool, k):
-            s = set(combo)
-            if all(s & e for e in h.hyperedges):
-                return k
-    raise AssertionError
+from reference_oracles import min_feedback_edge_set, min_feedback_vertex_set, subset_nu, subset_tau
 
 
 class TestKnownValues:
@@ -266,7 +243,7 @@ class TestBitmaskKernels:
 
     def test_empty_item_has_no_hitting_set(self):
         for kernel in (oracles._min_hitting_set, reference_oracles._min_hitting_set):
-            with pytest.raises(ValueError, match="item 1 is empty"):
+            with pytest.raises(EmptyHyperedgeError, match="^hyperedge 1 is empty$"):
                 kernel(oracles._Search(WITH_PAIRS[0], oracles.GRAPH_BUDGET))
 
     @pytest.mark.parametrize("h", HAND_MADE + WITH_PAIRS)

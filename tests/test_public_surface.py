@@ -20,7 +20,6 @@ PUBLIC = (
     "ExperimentResult",
     "ExperimentSpec",
     "ExperimentSpecError",
-    "FesResult",
     "FvsResult",
     "GRAPH_BUDGET",
     "Graph",
