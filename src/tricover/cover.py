@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .acyclic import DualPair, _solve
-from .cyclebreak import _feedback_vertex_set, _fes_hyperedges, _require_linear_3_uniform
+from .cyclebreak import _feedback_vertex_set, _require_linear_3_uniform, minimal_fes
 from .errors import CyclicInputError, InvariantError, IsolatedVertexError
 from .graph import Graph, _first_fit, bipartite_cut_cover
 from .hypergraph import Hypergraph, triangle_hypergraph
@@ -49,7 +49,7 @@ class CoverCertificate:
     cover holds graph edge ids, or vertex ids for the hypergraph form.
     breaker is the cycle-breaking part: the removed feedback vertices for the
     fvs strategy, or for fes the set of the dropped hyperedges' least vertices.
-    fes_hyperedges maps each dropped hyperedge id to its members, in id order.
+    fes_hyperedges is minimal_fes(h), each dropped hyperedge id -> members.
     residual_pair is the exact transversal/matching pair of the acyclic
     remainder, the hyperedges the breaker misses (absent for the bipartite
     strategy). claimed_bound is the certified size guarantee; the cover
@@ -109,7 +109,7 @@ def _via_fvs(h: Hypergraph) -> CoverCertificate:
 def _via_fes(h: Hypergraph) -> CoverCertificate:
     """fes route: the least vertex of each hyperedge a minimal feedback edge
     set drops. Each holds its pick, so the picks miss only kept hyperedges."""
-    dropped = _fes_hyperedges(h)
+    dropped = minimal_fes(h)
     picks = frozenset(min(e) for e in dropped.values())
     return _route(h, "fes", picks, Fraction(len(dropped)), fes_hyperedges=dropped)
 

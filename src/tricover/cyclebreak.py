@@ -10,8 +10,8 @@ Two engines:
 * `minimal_fes` greedily shrinks the trivial all-hyperedges feedback edge set
   to a minimal one; for linear 3-uniform inputs its size is bounded by
   2m - |V'| + p, with V' the non-isolated vertices and p their component
-  count. Its one union-find scan, `_fes_hyperedges`, returns the dropped
-  hyperedges, and the fes route takes the least vertex of each.
+  count. Its one union-find scan returns the dropped hyperedges with their
+  members, and the fes route takes the least vertex of each.
 """
 
 from __future__ import annotations
@@ -414,15 +414,13 @@ def _shortest_cycle(
     """
     best: tuple | None = None  # (sorted hyperedge ids, spine, hyperedge ids)
     spine: list[int] = []
-    on_spine: set[int] = set()
     used_edges: list[int] = []
-    used_edge_set: set[int] = set()
 
     def extend(start: int, cur: int, length: int) -> None:
         nonlocal best
         depth = len(used_edges)
         for eid in incident[cur]:
-            if eid in used_edge_set:
+            if eid in used_edges:
                 continue
             e = edges[eid]
             if depth == length - 1:
@@ -433,33 +431,29 @@ def _shortest_cycle(
                         best = key
                 continue
             for w in e:
-                if w < start or w in on_spine:
+                if w < start or w in spine:
                     continue
                 spine.append(w)
-                on_spine.add(w)
                 used_edges.append(eid)
-                used_edge_set.add(eid)
                 extend(start, w, length)
-                used_edge_set.discard(eid)
                 used_edges.pop()
-                on_spine.discard(w)
                 spine.pop()
 
     # A cycle has at most one hyperedge per spine step, so it is no longer
     # than the hyperedge count.
     for length in range(3, len(edges) + 1):
         for start in incident:
-            spine, on_spine = [start], {start}
+            spine = [start]
             extend(start, start, length)
         if best is not None:
             return best[1], best[2]
     raise InvariantError("no cycle found in a hypergraph that has one")
 
 
-def minimal_fes(h: Hypergraph) -> frozenset[int]:
-    """Ids of a minimal feedback edge set, from the greedy scan in hyperedge
-    id order: deleting them leaves h acyclic, and re-adding any one of them
-    recreates a cycle.
+def minimal_fes(h: Hypergraph) -> dict[int, frozenset[int]]:
+    """A minimal feedback edge set, from the greedy scan in hyperedge id
+    order, as dropped hyperedge id -> members in id order: deleting them
+    leaves h acyclic, and re-adding any one of them recreates a cycle.
 
     Starting from the trivial feedback edge set (all hyperedges), each
     hyperedge is dropped from it when the rest still meets every cycle,
@@ -468,12 +462,6 @@ def minimal_fes(h: Hypergraph) -> frozenset[int]:
     test. Each dropped hyperedge holds its least vertex, so any hyperedge
     those vertices miss is kept.
     """
-    return frozenset(_fes_hyperedges(h))
-
-
-def _fes_hyperedges(h: Hypergraph) -> dict[int, frozenset[int]]:
-    """The hyperedges minimal_fes's one union-find scan drops, id -> members
-    in id order."""
     forest = _Forest()
     return {eid: e for eid, e in h._edges.items() if not forest.link(e)}
 

@@ -62,6 +62,26 @@ def random_acyclic_forest(rng: random.Random, num_edges: int, isolated: int = 0)
     return Hypergraph(range(offset + isolated), edges)
 
 
+def random_hyperforest(rng: random.Random) -> Hypergraph:
+    """1 to 4 random hypertrees with hyperedges of 1 to 4 members, each
+    hung from a vertex already in its tree, plus up to 3 isolated vertices;
+    vertex ids are sparse and shuffled, and hyperedge ids shuffled too."""
+    edges: list[list[int]] = []
+    n = 0
+    for _ in range(rng.randint(1, 4)):
+        tree = [n]
+        n += 1
+        for _ in range(rng.randint(0, 8)):
+            grown = list(range(n, n + rng.randint(0, 3)))
+            edges.append([rng.choice(tree), *grown])
+            tree += grown
+            n += len(grown)
+    n += rng.randint(0, 3)
+    names = rng.sample(range(4 * n), n)
+    rng.shuffle(edges)
+    return Hypergraph(names, [[names[v] for v in e] for e in edges])
+
+
 def hypergraph_from_cubic(n: int, cubic_edges: list[tuple[int, int]]) -> Hypergraph:
     """Dual hypergraph of a 3-regular simple graph.
 
@@ -244,6 +264,20 @@ def mixed_linear_corpus(seed: int, count: int, max_hyperedges: int = 40) -> list
         if h.num_hyperedges > 0:
             out.append(h)
     return out
+
+
+def route_corpora() -> dict[str, list[Hypergraph]]:
+    """The cover routes' pinned corpora: random linear, cubic duals, triangle
+    hypergraphs of G(n, p) and relabelled copies."""
+    rng = random.Random(71)
+    mixed = mixed_linear_corpus(seed=71, count=80)
+    gnp = [random_gnp(n, p, seed) for n in (6, 9, 12, 15) for p in (0.4, 0.7, 0.95) for seed in range(3)]
+    return {
+        "mixed-linear": mixed,
+        "cubic-duals": random_cubic_duals(seed=71, count=25),
+        "gnp-triangles": [triangle_hypergraph(g) for g in gnp],
+        "relabelled": [relabelled(h, rng) for h in mixed[:40]],
+    }
 
 
 def small_graph_corpus(seed: int, count: int, max_edges: int = 25) -> list[Graph]:

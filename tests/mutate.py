@@ -17,11 +17,14 @@ pyproject.toml under a temporary directory, with
 at a time. A mutant is killed when a test fails, timed out when
 the suite did not finish (a hung search, which CI's step timeout would also
 catch), and survived when the whole suite passed. Survivors are either
-equivalent mutants or gaps in the suite, and each needs a reason.
+equivalent mutants or gaps in the suite, and each needs a reason. The
+reasons found so far are kept in EQUIVALENT: a survivor listed there is
+reported as equivalent, with its reason, and is not a gap.
 
 Standard library only; pytest does not collect this file. The unmutated
 copy runs first, and a failure there stops the run with exit code 2.
-Otherwise the exit code is 1 when some mutant survived, 0 when none did.
+Otherwise the exit code is 1 when some mutant survived that EQUIVALENT does
+not list, 0 when none did.
 """
 
 from __future__ import annotations
@@ -49,11 +52,23 @@ FLIP.update({"is": "is not", "is not": "is", "and": "or", "or": "and", "True": "
 COMPARE = re.compile(rb"not\s+in\b|is\s+not\b|<=|>=|==|!=|<|>|\bin\b|\bis\b")
 BOOLOP = re.compile(rb"\b(?:and|or)\b")
 
+# Mutants that change no answer, keyed by (module file, stripped source line,
+# label) rather than line number, so that edits elsewhere keep them valid.
+EQUIVALENT = {
+    ("cover.py", "if any(w > v for w in adj[u] & adj[v]):", "> -> >="): "w is a neighbour of v, so w != v",
+    ("cyclebreak.py", "if best is None or key < best:", "< -> <="): "the keys of distinct cycles are unique",
+    ("cyclebreak.py", "if w < start or w in spine:", "< -> <="): "start is on the spine, so w == start is skipped anyway",
+    ("oracles.py", "if len(chosen) < len(best):", "< -> <="): (
+        "a leaf passed its parent's bound check, so it is already smaller than the incumbent"
+    ),
+}
+
 
 @dataclass(frozen=True)
 class Mutant:
     path: str  # relative to the repository root
     line: int
+    text: str  # the stripped source line
     edits: tuple[tuple[int, int, str], ...]  # (start, end, replacement), byte offsets into the source
     label: str
 
@@ -83,7 +98,12 @@ def mutants(path: str) -> list[Mutant]:
     """Every mutant of the module at path, in source order."""
     source = (ROOT / path).read_bytes()
     starts = _offsets(source)
+    lines = source.decode().splitlines()
     found: list[Mutant] = []
+
+    def add(node: ast.AST, edits: tuple[tuple[int, int, str], ...], label: str) -> None:
+        found.append(Mutant(path, node.lineno, lines[node.lineno - 1].strip(), edits, label))
+
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
             for left, right in zip([node.left, *node.comparators], node.comparators):
@@ -91,7 +111,7 @@ def mutants(path: str) -> list[Mutant]:
                 m = COMPARE.search(gap)
                 op = re.sub(r"\s+", " ", m.group().decode())
                 edit = (a + m.start(), a + m.end(), FLIP[op])
-                found.append(Mutant(path, node.lineno, (edit,), f"{op} -> {FLIP[op]}"))
+                add(node, (edit,), f"{op} -> {FLIP[op]}")
         elif isinstance(node, ast.BoolOp):
             edits = []
             for left, right in zip(node.values, node.values[1:]):
@@ -99,12 +119,12 @@ def mutants(path: str) -> list[Mutant]:
                 m = BOOLOP.search(gap)
                 edits.append((a + m.start(), a + m.end(), FLIP[m.group().decode()]))
             op = "and" if isinstance(node.op, ast.And) else "or"
-            found.append(Mutant(path, node.lineno, tuple(edits), f"{op} -> {FLIP[op]}"))
+            add(node, tuple(edits), f"{op} -> {FLIP[op]}")
         elif isinstance(node, ast.Return) and isinstance(getattr(node.value, "value", None), bool):
             v = node.value
             a, b = starts[v.lineno] + v.col_offset, starts[v.end_lineno] + v.end_col_offset
             old = source[a:b].decode()
-            found.append(Mutant(path, node.lineno, ((a, b, FLIP[old]),), f"return {old} -> return {FLIP[old]}"))
+            add(node, ((a, b, FLIP[old]),), f"return {old} -> return {FLIP[old]}")
     return sorted(found, key=lambda m: (m.line, m.edits))
 
 
@@ -146,15 +166,20 @@ def main(argv: list[str] | None = None) -> int:
     print(f"unmutated copy: {'passed' if baseline == 'survived' else baseline} ({seconds:.0f} s)", flush=True)
     if baseline != "survived":
         return 2
-    tally = {"killed": 0, "timeout": 0, "survived": 0}
+    tally = {"killed": 0, "timeout": 0, "equivalent": 0, "survived": 0}
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         for m, (outcome, seconds) in zip(todo, pool.map(run, todo)):
-            tally[outcome] += 1
+            reason = EQUIVALENT.get((Path(m.path).name, m.text, m.label))
+            if outcome == "survived" and reason:
+                outcome = f"equivalent, {reason}"
+                tally["equivalent"] += 1
+            else:
+                tally[outcome] += 1
             print(f"{m.path}:{m.line}: {m.label}: {outcome} ({seconds:.0f} s)", flush=True)
     detected = tally["killed"] + tally["timeout"]
     print(
         f"{detected}/{len(todo)} detected: {tally['killed']} killed, {tally['timeout']} timed out, "
-        f"{tally['survived']} survived"
+        f"{tally['equivalent']} equivalent, {tally['survived']} survived"
     )
     return 1 if tally["survived"] else 0
 

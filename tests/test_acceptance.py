@@ -154,7 +154,7 @@ def test_criterion_3_connected_acyclic_vertex_count(acyclic_corpus):
 def test_criterion_4_minimal_fes_bound(acyclic_corpus, linear_corpus):
     checked = 0
     for h in acyclic_corpus + linear_corpus:
-        fes = minimal_fes(h)
+        fes = minimal_fes(h).keys()
         kept = delete_hyperedges(h, fes)
         assert are_acyclic(kept.hyperedges)
         assert len(fes) <= fes_size_bound(h)

@@ -12,9 +12,12 @@ from tricover import (
     solve_acyclic,
     triangle_hypergraph,
 )
+from tricover.acyclic import _solve
+from tricover.cyclebreak import _feedback_vertex_set, minimal_fes
 from tricover.hypergraph import are_acyclic
 
-from generators import mixed_linear_corpus, random_acyclic_forest
+import reference_acyclic
+from generators import mixed_linear_corpus, random_acyclic_forest, random_hyperforest, route_corpora
 from reference_fvs import delete_vertices
 from reference_oracles import subset_nu, subset_tau
 
@@ -121,6 +124,43 @@ class TestSolveAcyclic:
             assert pair.transversal == {7 * v for v in expected.transversal}
             assert pair.matching == expected.matching
         assert unsorted >= 0.9 * total
+
+
+class TestAgainstTheDepthSortReference:
+    """The sweep in reverse BFS order must return exactly the transversal
+    and matching of the reference's sweep by (-depth, id), including which
+    of several sibling hyperedges joins the matching."""
+
+    def test_random_hyperforests(self):
+        rng = random.Random("acyclic/hyperforests")
+        contested = 0
+        for k in range(2000):
+            h = random_hyperforest(rng)
+            pair = _solve(h._edges, h._incident)
+            assert (k, pair) == (k, reference_acyclic._solve(h._edges, h._incident))
+            # Some transversal vertex is the only one in two hyperedges, so
+            # the sweep order decides which of them is matched.
+            contested += any(
+                sum(h._edges[e] & pair.transversal == {v} for e in h._incident[v]) > 1 for v in pair.transversal
+            )
+        assert contested >= 1500
+
+    def test_route_remainders(self):
+        solved = 0
+        for h in (h for hs in route_corpora().values() for h in hs):
+            fvs = _feedback_vertex_set(h).removed_vertices
+            picks = frozenset(min(e) for e in minimal_fes(h).values())
+            for breaker in (fvs, picks):
+                rest = {eid: e for eid, e in h._edges.items() if breaker.isdisjoint(e)}
+                assert _solve(rest, h._incident) == reference_acyclic._solve(rest, h._incident)
+                solved += bool(rest)
+        assert solved >= 200
+
+    def test_cyclic_input_raises_in_both(self):
+        h = triangle_hypergraph(complete_graph(4))
+        for solve in (_solve, reference_acyclic._solve):
+            with pytest.raises(CyclicInputError):
+                solve(h._edges, h._incident)
 
 
 @st.composite

@@ -55,10 +55,8 @@ from generators import (
     disjoint_union,
     fano_plane,
     irreducible_subgraph,
-    mixed_linear_corpus,
-    random_cubic_duals,
     random_linear_3_uniform,
-    relabelled,
+    route_corpora,
     small_graph_corpus,
     two_regular_fixtures,
 )
@@ -331,6 +329,8 @@ class TestHypergraphCover:
         # Within the budget a greedy matching that proves it still skips the
         # oracle, and a short one sends Fano to it.
         assert hypergraph_cover(Hypergraph(range(3), [(0, 1, 2)])).conditions["i"] == "true"
+        # The linear 3-cycle: greedy matches exactly m/3, which proves it.
+        assert hypergraph_cover(Hypergraph(range(6), [(0, 1, 2), (2, 3, 4), (4, 5, 0)])).conditions["i"] == "true"
         with pytest.raises(AssertionError, match="on 7 hyperedges"):
             hypergraph_cover(fano_plane())
 
@@ -580,18 +580,6 @@ def kept_rule_via_fes(h: Hypergraph) -> tuple[frozenset[int], Fraction]:
     return picks | pair.transversal, Fraction(len(removed) + len(pair.matching))
 
 
-def route_corpora() -> dict[str, list[Hypergraph]]:
-    rng = random.Random(71)
-    mixed = mixed_linear_corpus(seed=71, count=80)
-    gnp = [random_gnp(n, p, seed) for n in (6, 9, 12, 15) for p in (0.4, 0.7, 0.95) for seed in range(3)]
-    return {
-        "mixed-linear": mixed,
-        "cubic-duals": random_cubic_duals(seed=71, count=25),
-        "gnp-triangles": [triangle_hypergraph(g) for g in gnp],
-        "relabelled": [relabelled(h, rng) for h in mixed[:40]],
-    }
-
-
 ROUTE_CORPORA = route_corpora()
 
 
@@ -614,7 +602,7 @@ class TestRemainderSolvedInPlace:
 
     STUBS = {
         "fvs": ("_feedback_vertex_set", lambda h: FvsResult(frozenset(), ())),
-        "fes": ("_fes_hyperedges", lambda h: {}),
+        "fes": ("minimal_fes", lambda h: {}),
     }
 
     @pytest.mark.parametrize("route", STUBS)

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -22,7 +22,7 @@ from tricover import (
     triangle_hypergraph,
 )
 import tricover.cyclebreak
-from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, _fes_hyperedges, _shortest_cycle, is_minimal_fes
+from tricover.cyclebreak import _WorkingState, _feedback_vertex_set, _shortest_cycle, is_minimal_fes
 from tricover.hypergraph import are_acyclic
 
 import reference_fvs
@@ -557,6 +557,25 @@ class TestCycleCertificates:
             _feedback_vertex_set(h)
         assert len(calls) == 182
 
+    def test_search_work_is_pinned(self, monkeypatch):
+        # The vertices the searches above expand, counted as _certify's
+        # queue pops: a change that keeps every answer but lets a failing
+        # search run on, such as a weaker early exit, shows up here. Either
+        # cost-only mutant of the exits, degree[v] >= 1 or expanding >= 1,
+        # reads over 1,000.
+        pops = 0
+
+        class CountingDeque(deque):
+            def popleft(self):
+                nonlocal pops
+                pops += 1
+                return super().popleft()
+
+        monkeypatch.setattr(tricover.cyclebreak, "deque", CountingDeque)
+        for h in mixed_linear_corpus(seed=97, count=120, max_hyperedges=60):
+            _feedback_vertex_set(h)
+        assert pops == 876
+
     def test_cubic_dual_search_counts_are_pinned(self, monkeypatch):
         # A large 2-regular input, where rule 4 fires once per three
         # hyperedges and FVS time grows fastest with m: the counts of
@@ -1014,7 +1033,7 @@ class TestMinimalFes:
         rng = random.Random(6)
         for _ in range(10):
             h = random_acyclic_forest(rng, rng.randint(1, 10))
-            assert minimal_fes(h) == frozenset()
+            assert minimal_fes(h).keys() == frozenset()
 
     def test_k4_hypergraph_bound(self):
         h = triangle_hypergraph(complete_graph(4))
@@ -1024,7 +1043,7 @@ class TestMinimalFes:
 
     def test_fano_minimality(self):
         f = fano_plane()
-        fes = minimal_fes(f)
+        fes = minimal_fes(f).keys()
         assert len(fes) <= fes_size_bound(f)
         assert are_acyclic(delete_hyperedges(f, fes).hyperedges)
         for eid in fes:
@@ -1032,7 +1051,7 @@ class TestMinimalFes:
 
     def test_suite_acyclic_minimal_and_bounded(self):
         for h in fvs_suite():
-            fes = minimal_fes(h)
+            fes = minimal_fes(h).keys()
             kept = delete_hyperedges(h, fes)
             assert are_acyclic(kept.hyperedges)
             for eid in fes:
@@ -1050,7 +1069,7 @@ class TestMinimalFes:
         checked = 0
         for h in fvs_suite()[:60]:
             ids = h.hyperedge_ids
-            fes = minimal_fes(h)
+            fes = minimal_fes(h).keys()
             candidates = [fes, frozenset(), frozenset(ids), frozenset(rng.sample(ids, len(ids) // 2))]
             if len(fes) > 1:
                 candidates.append(fes - {min(fes)})
@@ -1085,14 +1104,13 @@ class TestMinimalFes:
             checked += bool(fes)
         assert checked >= 100
 
-    def test_split_matches_minimal_fes_on_mixed_arity_input(self):
-        # CLI fes accepts any arity, so the scan that the fes route uses
-        # must give minimal_fes's answer there too.
+    def test_returns_dropped_members_in_id_order_on_mixed_arity_input(self):
+        # CLI fes accepts any arity, and the fes route reads the members
+        # minimal_fes returns, so both must hold there too.
         drops = 0
         for h in self.mixed_arity_corpus():
-            dropped = _fes_hyperedges(h)
-            removed = minimal_fes(h)
-            assert removed == frozenset(dropped)
+            dropped = minimal_fes(h)
+            removed = dropped.keys()
             assert list(dropped) == sorted(dropped)
             assert all(h._edges[eid] == e for eid, e in dropped.items())
             assert are_acyclic(e for eid, e in h._edges.items() if eid not in dropped)

@@ -281,8 +281,9 @@ class TestSteinerTripleSystems:
             (lambda ts, n: ts[:-1] + [(ts[-1][0], ts[-1][1], n)], "is not three distinct vertices"),
             (lambda ts, n: ts[:-1] + [(ts[-1][0], ts[-1][1], -1)], "is not three distinct vertices"),
             (lambda ts, n: ts[:-1] + [(ts[-1][0], ts[-1][0], ts[-1][1])], "is not three distinct vertices"),
+            (lambda ts, n: ts[:-1] + [(min(ts[-1]), max(ts[-1]), max(ts[-1]))], "is not three distinct vertices"),
         ],
-        ids=["duplicated", "dropped", "vertex-n", "vertex-negative", "repeated-vertex"],
+        ids=["duplicated", "dropped", "vertex-n", "vertex-negative", "repeated-vertex", "repeated-largest-vertex"],
     )
     @pytest.mark.parametrize("n, builder", [(49, "_skolem_triples"), (45, "_bose_triples")])
     def test_corrupt_construction_raises(self, monkeypatch, n, builder, corrupt, message):
