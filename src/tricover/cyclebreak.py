@@ -179,7 +179,7 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         # 2-regular from here on: no isolated, degree-1, or degree>=3 vertices.
         # The working copy is a sub-hypergraph of the linear input, hence
         # linear itself.
-        vs, es = map(list, _shortest_cycle(state.edges, {v: state.alive(v) for v in degrees}))
+        vs, es = map(list, _shortest_cycle(state.edges, state.incident))
         k = len(es)
 
         def third(i: int) -> int:
@@ -205,9 +205,8 @@ def _feedback_vertex_set(h: Hypergraph) -> FvsResult:
         elif k % 3 == 1:
             if fs[0] != fs[2] or fs[1] != fs[3]:
                 if fs[0] == fs[2]:
-                    # Rotating the labels by one turns (f2, f4) into the new
-                    # (f1, f3), which differ here; only vs and us are read on.
-                    vs = vs[1:] + vs[:1]
+                    # f1 = f3 closes a 4-cycle, so k = 4 and only us is read on:
+                    # rotating it by one makes (f2, f4), which differ, (f1, f3).
                     us = us[1:] + us[:1]
                 take = [us[0], us[2]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 0]
                 trace.append(("break_cycle_len_1_mod_3", (k, *take)))
@@ -399,7 +398,9 @@ def _shortest_cycle(
     """A minimum-length cycle as (spine v1 ... vk, hyperedge ids e1 ... ek),
     read from hyperedge id -> members and non-isolated vertex -> incident
     hyperedge ids of a hypergraph already known to be linear (so every
-    cycle has length >= 3) and to have a cycle.
+    cycle has length >= 3) and to have a cycle. Incident ids not in edges
+    are skipped, so FVS passes its working copy's surviving hyperedges with
+    the input's own incidence map.
 
     The tie-break is exact: among all minimum-length cycles, the least
     (sorted hyperedge ids, spine, hyperedge ids) wins, and the answer is in
@@ -420,7 +421,7 @@ def _shortest_cycle(
         nonlocal best
         depth = len(used_edges)
         for eid in incident[cur]:
-            if eid in used_edges:
+            if eid not in edges or eid in used_edges:
                 continue
             e = edges[eid]
             if depth == length - 1:
@@ -464,23 +465,6 @@ def minimal_fes(h: Hypergraph) -> dict[int, frozenset[int]]:
     """
     forest = _Forest()
     return {eid: e for eid, e in h._edges.items() if not forest.link(e)}
-
-
-def is_minimal_fes(h: Hypergraph, removed: Collection[int]) -> bool:
-    """True when re-adding any single hyperedge of `removed` to the rest of h
-    leaves a cycle.
-
-    One union-find pass over the residual (h without `removed`). When the
-    residual is acyclic, a hyperedge re-added to it closes a cycle exactly
-    when link refuses it, joining nothing, so any() stops at the first that
-    closes none; when the residual is itself cyclic, every re-addition leaves
-    that cycle, so the answer is True.
-    """
-    forest = _Forest()
-    for eid, e in zip(h.hyperedge_ids, h.hyperedges):
-        if eid not in removed and not forest.link(e):
-            return True
-    return not any(forest.link(h.hyperedge(f)) for f in removed)
 
 
 def fes_size_bound(h: Hypergraph) -> int | None:

@@ -187,6 +187,6 @@ class _Forest:
 
 def are_acyclic(hyperedges: Iterable[frozenset[int]]) -> bool:
     """True when the given hyperedges form no cycle: one union-find pass.
-    feedback_vertex_set's output check and `tricover fes` pass the
-    hyperedges a feedback set spares, so no residual hypergraph is built."""
+    feedback_vertex_set's output check passes the hyperedges its removed
+    vertices spare, so no residual hypergraph is built."""
     return all(map(_Forest().link, hyperedges))

@@ -235,11 +235,11 @@ def _skolem_triples(n: int) -> list[tuple[int, int, int]]:
 def steiner_triple_system(n: int) -> PackingWitness:
     """n(n-1)/6 edge-disjoint triangles covering every edge of K_n exactly once.
 
-    Exists exactly when n = 1 or 3 (mod 6); other n raise ValueError. The
-    witness uses the edge ids of complete_graph(n) without building it: edge
-    (a, b), a < b, has id a*(2n-a-1)//2 + b - a - 1. The same pass checks that
-    each triple is 0 <= a < b < c < n, that no edge is covered twice and that
-    there are C(n, 2)/3 triples, else InvariantError.
+    Exists exactly when n >= 3 and n = 1 or 3 (mod 6); other n raise
+    ValueError. The witness uses the edge ids of complete_graph(n) without
+    building it: edge (a, b), a < b, has id a*(2n-a-1)//2 + b - a - 1. The
+    same pass checks that each triple is 0 <= a < b < c < n, that no edge is
+    covered twice and that there are C(n, 2)/3 triples, else InvariantError.
     """
     if n < 3 or n % 6 not in (1, 3):
         raise ValueError(f"no triangle decomposition of K_{n}: need n = 1 or 3 (mod 6), n >= 3")

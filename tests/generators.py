@@ -177,6 +177,14 @@ def crossed_k33_edges() -> tuple[int, list[tuple[int, int]]]:
     return 12, [(min(u, v), max(u, v)) for u, v in edges]
 
 
+def mcgee_edges() -> tuple[int, list[tuple[int, int]]]:
+    """The McGee graph, the smallest cubic graph of girth 7: a 24-cycle
+    with chords by the LCF code [12, 7, -7]^8."""
+    ring = {(i, (i + 1) % 24) for i in range(24)}
+    chords = {(i, (i + (12, 7, -7)[i % 3]) % 24) for i in range(24)}
+    return 24, sorted({(min(u, v), max(u, v)) for u, v in ring | chords})
+
+
 def two_regular_fixtures() -> list[Hypergraph]:
     """2-regular linear 3-uniform instances hitting every short-cycle branch:
     girth 3 (prism), girth 4 with both detour pairings (K33, cube, crossed

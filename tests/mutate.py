@@ -9,7 +9,9 @@ Each mutant changes one token of one module:
 * a flipped comparison: < and <=, > and >=, == and !=, in and not in,
   is and is not, each into the other;
 * an and/or swap: every operator of one boolean expression;
-* a flipped boolean return: return True and return False.
+* a flipped boolean return: return True and return False;
+* a min/max swap: a call of min made a call of max, and max of min;
+* an integer literal moved by one: n into n + 1, and n into n - 1.
 
 Every mutant runs in a fresh copy of src/, tests/, README.md and
 pyproject.toml under a temporary directory, with
@@ -49,15 +51,49 @@ JOBS = 2  # mutants run at once
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 FLIP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "in": "not in", "not in": "in"}
 FLIP.update({"is": "is not", "is not": "is", "and": "or", "or": "and", "True": "False", "False": "True"})
+FLIP.update({"min": "max", "max": "min"})
 COMPARE = re.compile(rb"not\s+in\b|is\s+not\b|<=|>=|==|!=|<|>|\bin\b|\bis\b")
 BOOLOP = re.compile(rb"\b(?:and|or)\b")
 
 # Mutants that change no answer, keyed by (module file, stripped source line,
 # label) rather than line number, so that edits elsewhere keep them valid.
+# The three take lines of FVS rule 5, each with several equivalent mutants.
+RULE5_0 = "take = [vs[i - 1] for i in range(1, k + 1) if i % 3 == 0]"
+RULE5_1 = "take = [us[0], us[2]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 0]"
+RULE5_2 = "take = [us[0]] + [vs[i - 1] for i in range(4, k + 1) if i % 3 == 1]"
 EQUIVALENT = {
     ("cover.py", "if any(w > v for w in adj[u] & adj[v]):", "> -> >="): "w is a neighbour of v, so w != v",
     ("cyclebreak.py", "if best is None or key < best:", "< -> <="): "the keys of distinct cycles are unique",
     ("cyclebreak.py", "if w < start or w in spine:", "< -> <="): "start is on the spine, so w == start is skipped anyway",
+    ("cyclebreak.py", "degree = degrees.get(high, 0)", "0 -> -1 at column 27"): (
+        "a vertex gone from degrees has no hyperedge left, and any default below 3 drops its stale entry alike"
+    ),
+    ("cyclebreak.py", "degree = degrees.get(high, 0)", "0 -> 1 at column 27"): (
+        "a vertex gone from degrees has no hyperedge left, and any default below 3 drops its stale entry alike"
+    ),
+    ("cyclebreak.py", "if len(rest) != 1 or rest[0] in es:", "0 -> -1 at column 26"): (
+        "the or reads rest[0] only when rest has one element, so rest[-1] is the same"
+    ),
+    ("cyclebreak.py", "return rest[0]", "0 -> -1 at column 12"): "the guard leaves rest one element, so rest[-1] is rest[0]",
+    ("cyclebreak.py", RULE5_0, "1 -> 2 at column 33"): "i = 1 is not 0 mod 3, so it took no vertex",
+    ("cyclebreak.py", RULE5_0, "1 -> 2 at column 40"): "k = 0 mod 3 here, so i = k + 1 is not 0 mod 3",
+    ("cyclebreak.py", "us = us[1:] + us[:1]", "1 -> 0 at column 18"): "only us[0] and us[2] are read on, both from us[1:]",
+    ("cyclebreak.py", "us = us[1:] + us[:1]", "1 -> 2 at column 18"): "only us[0] and us[2] are read on, both from us[1:]",
+    ("cyclebreak.py", RULE5_1, "4 -> 5 at column 50"): "i = 4 is not 0 mod 3, so it took no vertex",
+    ("cyclebreak.py", RULE5_1, "1 -> 0 at column 57"): "k = 1 mod 3 here, so i = k is not 0 mod 3",
+    ("cyclebreak.py", RULE5_1, "1 -> 2 at column 57"): "k = 1 mod 3 here, so i = k + 1 is not 0 mod 3",
+    ("cyclebreak.py", RULE5_2, "4 -> 3 at column 43"): "i = 3 is not 1 mod 3, so it takes no vertex",
+    ("cyclebreak.py", RULE5_2, "1 -> 0 at column 50"): "k = 2 mod 3 here, so i = k is not 1 mod 3",
+    ("cyclebreak.py", RULE5_2, "1 -> 2 at column 50"): "k = 2 mod 3 here, so i = k + 1 is not 1 mod 3",
+    ("cyclebreak.py", "if len(removed) > h.num_hyperedges // 3:", "3 -> 2 at column 38"): (
+        "no input exceeds the floor(m/3) bound, a theorem, so the looser floor(m/2) check raises on none either"
+    ),
+    ("cyclebreak.py", "for length in range(3, len(edges) + 1):", "3 -> 2 at column 20"): (
+        "a linear hypergraph has no cycle of length 2, so the extra pass finds none"
+    ),
+    ("cyclebreak.py", "for length in range(3, len(edges) + 1):", "1 -> 2 at column 36"): (
+        "no cycle has more hyperedges than the input, so the extra length finds none before the raise"
+    ),
     ("oracles.py", "if len(chosen) < len(best):", "< -> <="): (
         "a leaf passed its parent's bound check, so it is already smaller than the incumbent"
     ),
@@ -125,6 +161,18 @@ def mutants(path: str) -> list[Mutant]:
             a, b = starts[v.lineno] + v.col_offset, starts[v.end_lineno] + v.end_col_offset
             old = source[a:b].decode()
             add(node, ((a, b, FLIP[old]),), f"return {old} -> return {FLIP[old]}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("min", "max"):
+            f = node.func
+            a = starts[f.lineno] + f.col_offset
+            add(node, ((a, a + len(f.id), FLIP[f.id]),), f"{f.id} -> {FLIP[f.id]}")
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            a, b = starts[node.lineno] + node.col_offset, starts[node.end_lineno] + node.end_col_offset
+            if source[a:b].decode() != str(node.value):
+                continue  # not a plain decimal literal at this span: an f-string part, say
+            # A line can hold one literal more than once, so the label names its column.
+            column = a - starts[node.lineno] - (len(lines[node.lineno - 1]) - len(lines[node.lineno - 1].lstrip()))
+            for moved in (node.value + 1, node.value - 1):
+                add(node, ((a, b, str(moved)),), f"{node.value} -> {moved} at column {column}")
     return sorted(found, key=lambda m: (m.line, m.edits))
 
 

@@ -16,7 +16,7 @@ from tricover import (
     triangle_hypergraph,
 )
 import tricover.oracles as oracles
-from tricover.cyclebreak import is_minimal_fes, minimal_fes
+from tricover.cyclebreak import minimal_fes
 from tricover.hypergraph import _Forest, are_acyclic
 
 import reference_fvs
@@ -286,7 +286,6 @@ class TestUnionFind:
         assert len({forest.find(v) for k in range(1, 3001) for v in (7, 8 * k, 8 * k + 1)}) == 1
 
     def test_users_agree_with_the_reference(self):
-        rng = random.Random(5)
         for h in MESSY:
             edges = dict(zip(h.hyperedge_ids, h.hyperedges))
             assert are_acyclic(h.hyperedges) == incidence_is_forest(h.vertices, edges)
@@ -296,10 +295,8 @@ class TestUnionFind:
                     kept[eid] = e
             greedy = frozenset(edges) - frozenset(kept)
             assert minimal_fes(h).keys() == greedy
-            for removed in (greedy, frozenset(rng.sample(list(edges), rng.randint(0, len(edges))))):
-                rest = {eid: e for eid, e in edges.items() if eid not in removed}
-                expected = all(not incidence_is_forest(h.vertices, {**rest, f: edges[f]}) for f in removed)
-                assert is_minimal_fes(h, removed) == expected
+            # So `tricover fes` may report "minimal": re-adding any dropped hyperedge closes a cycle.
+            assert not any(incidence_is_forest(h.vertices, {**kept, f: edges[f]}) for f in greedy)
             assert [(c.vertices, c.hyperedge_ids) for c in components(h)] == incidence_components(
                 h.vertices, {eid: e for eid, e in edges.items() if e}
             )

@@ -238,6 +238,22 @@ class TestHypergraphCommands:
         assert (code, json.loads(out)["residual_acyclic"]) == (0, True)
         assert len(passes) == 1
 
+    def test_fes_builds_two_forests(self, capsys, fano_file, monkeypatch):
+        # minimal_fes's scan answers residual_acyclic and minimal, so the
+        # only other forest is the one fes_size_bound's components builds.
+        built = []
+        init = tricover.hypergraph._Forest.__init__
+
+        def counted(forest):
+            built.append(forest)
+            init(forest)
+
+        monkeypatch.setattr(tricover.hypergraph._Forest, "__init__", counted)
+        code, out, _ = run_cli(capsys, "fes", fano_file)
+        payload = json.loads(out)
+        assert (code, payload["residual_acyclic"], payload["minimal"]) == (0, True, True)
+        assert len(built) == 2
+
     def test_byte_order_mark_is_not_part_of_a_label(self, capsys, tmp_path):
         # The 3-cycle a..c..e..a: read with the mark, the first "a" would be
         # another vertex and the cycle would be gone.
@@ -358,6 +374,12 @@ class TestRandomExperimentCommand:
         assert rec["steiner_survivors"] == 7
         assert rec["packing_lower"] == 7
         assert payload["aggregates"]["applicable_trials"] == 2
+
+    def test_defaults(self, capsys):
+        # Without --trials, --seed or --estimator: 100 greedy trials from seed 0.
+        code, out, _ = run_cli(capsys, "random-experiment", "--n", "5", "--p", "0.5")
+        spec = json.loads(out)["spec"]
+        assert (code, spec["trials"], spec["seed"], spec["estimator"]) == (0, 100, 0, "greedy")
 
     def test_p_zero_not_applicable(self, capsys):
         code, out, _ = run_cli(
